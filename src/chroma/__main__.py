@@ -1,5 +1,5 @@
 import sys
 
-from chroma._entry import main
+from chroma.cli import main
 
 sys.exit(main())

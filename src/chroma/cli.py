@@ -169,6 +169,8 @@ def cmd_train(args) -> int:
                                        float("nan")))
 
         def on_phase_end(phase_idx, phase, loss, epoch):
+            nonlocal last_loss
+            last_loss = loss
             save_model(out / f"phase_{phase_idx:02d}.ckpt", cn, va, cfg, opt,
                        _train_counters("alternating", phase_idx + 1, epoch,
                                        loss))

@@ -159,8 +159,12 @@ class Tensor:
         with ``seed=1/batch`` realizes a mean batch loss without keeping
         all the per-image graphs alive at once.
 
-        Raises if called twice on the same output, if the output is not
-        scalar, or if any tensor in the graph holds non-finite values.
+        Raises if called twice on the same output or if the output is not
+        scalar. A non-finite loss raises ``FloatingPointError`` naming the
+        first node, in topological order, that holds a non-finite value;
+        only then is the graph scanned. A finite loss is differentiated
+        even if some node it no longer depends on is non-finite; a
+        non-finite gradient that results is caught by :func:`sgd_step`.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -168,10 +172,12 @@ class Tensor:
             raise RuntimeError("backward already run for this graph; build a fresh "
                                "forward pass before calling backward again")
         order = self._toposort()
-        for t in order:
-            if not np.isfinite(t.data).all():
-                raise FloatingPointError(
-                    f"non-finite values encountered in node '{t.op}' during backward")
+        if not np.isfinite(self.data).all():
+            for t in order:
+                if not np.isfinite(t.data).all():
+                    raise FloatingPointError(
+                        f"non-finite values encountered in node '{t.op}' "
+                        "during backward")
         self.grad = np.full_like(self.data, seed)
         for t in reversed(order):
             if t._backward_fn is not None and t.grad is not None:
@@ -207,9 +213,17 @@ def _make_node(data: np.ndarray, op: str, parents: Sequence[Tensor]) -> Tensor:
     return Tensor(data, op=op)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    A node's first gradient is always a C-contiguous array of its own: a
+    matmul's rounding can depend on the memory layout of its operands.
+    A rule passes an array it has just built, which is kept as is when
+    already contiguous; a ``shared`` one (a view of another node's
+    gradient) is always copied.
+    """
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if (g.flags.c_contiguous and not shared) else g.copy()
     else:
         t.grad += g
 
@@ -246,8 +260,14 @@ def _im2col(arr: np.ndarray, k: int, stride: int) -> np.ndarray:
 def _col2im(cols: np.ndarray, h: int, w: int, c: int, k: int, stride: int,
             oh: int, ow: int) -> np.ndarray:
     """Adjoint of ``_im2col``: scatter-add patches back onto an h x w grid."""
-    out = np.zeros((h, w, c), dtype=cols.dtype)
     patches = cols.reshape(oh, ow, k, k, c)
+    if stride == k and (oh * k, ow * k) == (h, w):
+        # The windows tile the grid, so each pixel gets one patch value.
+        # Adding +0 maps -0 to +0, as adding onto a zero grid does.
+        out = np.empty((oh, k, ow, k, c), dtype=cols.dtype)
+        np.add(patches.transpose(0, 2, 1, 3, 4), 0.0, out=out)
+        return out.reshape(h, w, c)
+    out = np.zeros((h, w, c), dtype=cols.dtype)
     for dy in range(k):
         for dx in range(k):
             out[dy:dy + oh * stride:stride, dx:dx + ow * stride:stride] += \
@@ -349,6 +369,14 @@ def maxpool2d(x: Tensor, k: int, stride: int, ceil_mode: bool = False) -> Tensor
 
     ``ceil_mode`` pads the bottom/right edge (with -inf, never winning)
     so that partially covered windows produce an output row/column.
+
+    The forward pass keeps a running ``np.maximum`` over the k*k strided
+    offset views, in row-major offset order. On a tie ``np.maximum``
+    returns its second operand, the running maximum, so the earlier
+    offset wins: between +0 and -0 the output keeps the sign of the
+    first in row-major order, exactly as a windowed ``argmax`` would.
+    The backward pass routes each output gradient to that first maximum;
+    a window whose maximum is NaN routes its gradient nowhere.
     """
     x = _as_tensor(x)
     if x.data.ndim != 3:
@@ -371,21 +399,34 @@ def maxpool2d(x: Tensor, k: int, stride: int, ceil_mode: bool = False) -> Tensor
         padded = np.pad(x.data, ((0, ph), (0, pw), (0, 0)), constant_values=-np.inf)
     else:
         padded = x.data
-    win = _window_view(padded, k, stride).reshape(oh, ow, k * k, c)
-    arg = win.argmax(axis=2)
-    out = np.take_along_axis(win, arg[:, :, None, :], axis=2)[:, :, 0, :]
+    # (row, column) slices of the padded input seen by each window offset
+    offsets = [(slice(dy, dy + (oh - 1) * stride + 1, stride),
+                slice(dx, dx + (ow - 1) * stride + 1, stride))
+               for dy in range(k) for dx in range(k)]
+    out = padded[offsets[0]].copy()
+    for sl in offsets[1:]:
+        np.maximum(padded[sl], out, out=out)
     result = _make_node(out, "maxpool2d", (x,))
 
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
             if not (x.requires_grad or x._parents):
                 return
-            dy, dx_ = arg // k, arg % k
-            rows = np.arange(oh)[:, None, None] * stride + dy
-            cols = np.arange(ow)[None, :, None] * stride + dx_
-            chans = np.broadcast_to(np.arange(c)[None, None, :], arg.shape)
+            taken = np.zeros(out.shape, dtype=bool)
+            masks = []
+            for sl in offsets:
+                first = padded[sl] == out
+                first &= ~taken
+                taken |= first
+                masks.append(first)
+            # Reverse offset order adds into each input pixel in the
+            # row-major order of the windows that chose it. Where a window
+            # did not choose the pixel, a finite g * first is a signed
+            # zero; adding it leaves the sum, which starts at +0 and so is
+            # never -0, bit-identical.
             dpad = np.zeros_like(padded)
-            np.add.at(dpad, (rows, cols, chans), g)
+            for sl, first in zip(reversed(offsets), reversed(masks)):
+                dpad[sl] += g * first
             _accum(x, dpad[:h, :w] if (ph or pw) else dpad)
         result._backward_fn = _backward
     return result
@@ -448,24 +489,24 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     axes = tuple(range(x.data.ndim - 1))
     n = int(np.prod([x.shape[a] for a in axes])) if axes else 1
 
+    if mode != "eval":
+        cur_mu = x.data.mean(axis=axes, keepdims=True)
+        cur_var = x.data.var(axis=axes, mean=cur_mu)
+        cur_mu = cur_mu.reshape(c)
     if mode == "train":
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        stats.mean[...] = BN_STAT_DECAY * stats.mean + (1.0 - BN_STAT_DECAY) * mu
-        stats.var[...] = BN_STAT_DECAY * stats.var + (1.0 - BN_STAT_DECAY) * var
-    elif mode == "online":
-        mu = stats.mean.astype(x.dtype).copy()
-        var = stats.var.astype(x.dtype).copy()
-        cur_mu = x.data.mean(axis=axes)
-        cur_var = x.data.var(axis=axes)
-        stats.mean[...] = BN_STAT_DECAY * stats.mean + (1.0 - BN_STAT_DECAY) * cur_mu
-        stats.var[...] = BN_STAT_DECAY * stats.var + (1.0 - BN_STAT_DECAY) * cur_var
-    else:
+        mu, var = cur_mu, cur_var
+    else:  # the running statistics, before this pass updates them
         mu = stats.mean.astype(x.dtype, copy=False)
         var = stats.var.astype(x.dtype, copy=False)
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat = (x.data - mu) * inv_std
-    out = gamma.data * xhat + beta.data
+    xhat = x.data - mu
+    xhat *= inv_std
+    out = xhat * gamma.data
+    out += beta.data
+    if mode != "eval":
+        # folded in only now: online mode has normalized by the old values
+        stats.mean[...] = BN_STAT_DECAY * stats.mean + (1.0 - BN_STAT_DECAY) * cur_mu
+        stats.var[...] = BN_STAT_DECAY * stats.var + (1.0 - BN_STAT_DECAY) * cur_var
     result = _make_node(out, "batchnorm", (x, gamma, beta))
 
     if result.requires_grad:
@@ -475,15 +516,17 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
             if beta.requires_grad or beta._parents:
                 _accum(beta, g.sum(axis=axes))
             if x.requires_grad or x._parents:
-                dxhat = g * gamma.data
+                dx = g * gamma.data
                 if mode == "train":
-                    sum_dxhat = dxhat.sum(axis=axes)
-                    sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes)
-                    dx = (dxhat - sum_dxhat / n - xhat * sum_dxhat_xhat / n) * inv_std
-                    _accum(x, dx)
-                else:
-                    # eval and online normalize by constants
-                    _accum(x, dxhat * inv_std)
+                    # the batch statistics depend on x; eval and online
+                    # modes normalize by constants
+                    sum_dxhat = dx.sum(axis=axes)
+                    correction = xhat * (dx * xhat).sum(axis=axes)
+                    correction /= n
+                    dx -= sum_dxhat / n
+                    dx -= correction
+                dx *= inv_std
+                _accum(x, dx)
         result._backward_fn = _backward
     return result
 
@@ -546,9 +589,9 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
             if a.requires_grad or a._parents:
-                _accum(a, g[:, :, :ca])
+                _accum(a, g[:, :, :ca], shared=True)
             if b.requires_grad or b._parents:
-                _accum(b, g[:, :, ca:])
+                _accum(b, g[:, :, ca:], shared=True)
         result._backward_fn = _backward
     return result
 
@@ -597,7 +640,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     result = _make_node(out, "reshape", (x,))
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
-            _accum(x, g.reshape(x.shape))
+            _accum(x, g.reshape(x.shape), shared=True)
         result._backward_fn = _backward
     return result
 
@@ -633,7 +676,7 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
             if weights.requires_grad or weights._parents:
                 _accum(weights, np.outer(x.data, g))
             if bias.requires_grad or bias._parents:
-                _accum(bias, g)
+                _accum(bias, g, shared=True)
         result._backward_fn = _backward
     return result
 
@@ -686,14 +729,27 @@ class OptimizerState:
 
 def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
              state: OptimizerState) -> None:
-    """Apply one SGD update in place to every named parameter."""
+    """Apply one SGD update in place to every named parameter.
+
+    Every gradient is checked first: a shape mismatch raises
+    ``ShapeError`` and a non-finite gradient raises ``FloatingPointError``
+    naming the parameter, in both cases before any parameter or velocity
+    has changed.
+    """
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        if g.shape != p.data.shape:
+            raise ShapeError(f"sgd_step: gradient shape {g.shape} != parameter "
+                             f"shape {p.data.shape} for '{name}'")
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"sgd_step: non-finite gradient for "
+                                     f"parameter '{name}'")
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"sgd_step: gradient shape {g.shape} != parameter "
-                             f"shape {p.data.shape} for '{name}'")
         if state.momentum > 0.0:
             v = state.velocities.get(name)
             if v is None:

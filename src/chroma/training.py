@@ -521,8 +521,9 @@ def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
 
     Image-wise accuracy runs the full model at its training resolution.
     When samples carry masks, pixel-wise accuracy runs the color branch
-    alone at native image size, and attention localization is reported
-    against the ground-truth masks.
+    alone at native image size (reusing the first map when the image
+    already is at training resolution), and attention localization is
+    reported against the ground-truth masks.
     """
     if not samples:
         raise ValueError("evaluate_model: empty sample list")
@@ -541,7 +542,8 @@ def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
                 attention = AttentionMap(va.forward(img))
                 scores.append(aggregate_scores(modulate(y.values, attention)))
             if isinstance(sample, EvalSample):
-                native = cn_forward(cn, sample.image.astype(TRAIN_DTYPE))
+                native = (y if sample.image.shape[:2] == img.shape[:2]
+                          else cn_forward(cn, sample.image.astype(TRAIN_DTYPE)))
                 pixel_accs.append(pixel_accuracy(native, sample.mask,
                                                  np.full(sample.mask.shape,
                                                          sample.label)))

@@ -76,6 +76,27 @@ def maxpool2d_loops(x, k, stride, ceil_mode=False):
     return out
 
 
+def maxpool2d_grad_loops(x, k, stride, g, ceil_mode=False):
+    """Input gradient of the scanning max pool: each output gradient goes
+    to its window's first maximum in row-major order, added in the
+    row-major order of the outputs."""
+    h, w, c = x.shape
+    oh, ow = g.shape[:2]
+    dx = np.zeros_like(x)
+    for i in range(oh):
+        for j in range(ow):
+            for ch in range(c):
+                best, where = -np.inf, None
+                for dy in range(k):
+                    for dx_ in range(k):
+                        yy, xx = i * stride + dy, j * stride + dx_
+                        if yy < h and xx < w and x[yy, xx, ch] > best:
+                            best, where = x[yy, xx, ch], (yy, xx, ch)
+                if where is not None:
+                    dx[where] += g[i, j, ch]
+    return dx
+
+
 def avgpool_loops(x):
     h, w, c = x.shape
     out = np.zeros(c, dtype=x.dtype)

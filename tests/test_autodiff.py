@@ -23,6 +23,7 @@ from chroma.tensor import (
     fully_connected,
     cross_entropy,
     tensor_sum,
+    reshape,
     sgd_step,
     finite_diff_check,
 )
@@ -83,6 +84,28 @@ class TestBackwardContract:
         assert np.array_equal(x.grad, np.full((2, 2, 1), 2.0))
 
 
+    def test_node_gradients_are_contiguous_and_unshared(self):
+        # cropped views (ceil-mode pooling, padded conv) and views of
+        # another node's gradient (concat, reshape, fc bias) are copied
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(5, 5, 2)), requires_grad=True)
+        a = relu(x)
+        p = maxpool2d(a, 2, 2, ceil_mode=True)
+        c = conv2d(p, Tensor(rng.normal(size=(3, 3, 2, 2))), Tensor(np.zeros(2)),
+                   padding=1)
+        cc = concat_channels(c, c)
+        r = reshape(cc, (cc.size,))
+        bias = relu(Tensor(rng.normal(size=1), requires_grad=True))
+        out = fully_connected(r, Tensor(rng.normal(size=(cc.size, 1))), bias)
+        tensor_sum(out).backward()
+        nodes = [x, a, p, c, cc, r, bias, out]
+        for node in nodes:
+            assert node.grad.flags.c_contiguous, node.op
+        for i, m in enumerate(nodes):
+            for n in nodes[i + 1:]:
+                assert not np.shares_memory(m.grad, n.grad), (m.op, n.op)
+
+
 class TestSgdStep:
     def test_plain_step(self):
         w = Tensor(np.array([1.0]), requires_grad=True)
@@ -117,6 +140,27 @@ class TestSgdStep:
         with_mu = OptimizerState(learning_rate=0.1, momentum=0.5)
         sgd_step({"w": w}, {"w": np.ones(2)}, with_mu)
         assert "w" in with_mu.velocities
+
+    def test_non_finite_gradient_raises_before_any_update(self):
+        # -inf -> conv -> relu -> sum: the loss is finite, the kernel's
+        # gradient is not (-inf * 0)
+        x = np.ones((3, 3, 1))
+        x[1, 1, 0] = -np.inf
+        k = Tensor(np.full((1, 1, 1, 2), 0.5), requires_grad=True)
+        b = Tensor(np.array([0.1, -0.2]), requires_grad=True)
+        loss = tensor_sum(relu(conv2d(Tensor(x), k, b)))
+        assert np.isfinite(loss.data)
+        with np.errstate(invalid="ignore"):
+            loss.backward()
+        assert not np.isfinite(k.grad).all() and np.isfinite(b.grad).all()
+        params = {"b": b, "k": k}
+        before = {name: p.data.copy() for name, p in params.items()}
+        state = OptimizerState(learning_rate=0.1, momentum=0.9)
+        with pytest.raises(FloatingPointError, match="'k'"):
+            sgd_step(params, {name: p.grad for name, p in params.items()}, state)
+        for name, p in params.items():
+            assert p.data.tobytes() == before[name].tobytes(), name
+        assert state.velocities == {}
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):

@@ -109,6 +109,27 @@ class TestTrainCommand:
                      str(final)]) == EXIT_OK
         assert final.read_bytes() == before
 
+    def test_resume_from_any_phase_matches_the_uninterrupted_run(self, tmp_path):
+        # a zero tolerance never stops by convergence, so all three
+        # phase checkpoints exist; resuming from phase_02 has no phase left
+        cfg = _write_cfg(tmp_path, max_phases=3, convergence_tol=0)
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "data")]) == EXIT_OK
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        run = tmp_path / "run"
+        final = (run / "final.ckpt").read_bytes()
+        log = [line for line in (run / "trainlog.kv").read_text().splitlines()
+               if ".wall_time" not in line]
+        for phase in range(3):
+            out = tmp_path / f"resumed{phase}"
+            assert main(["train", "--config", str(cfg), "--checkpoint",
+                         str(run / f"phase_{phase:02d}.ckpt"), "--out",
+                         str(out)]) == EXIT_OK
+            assert (out / "final.ckpt").read_bytes() == final, phase
+            tail = [line for line in (out / "trainlog.kv").read_text().splitlines()
+                    if line and ".wall_time" not in line]
+            assert log[len(log) - len(tail):] == tail, phase
+
     def test_ablation_flag_tags_the_log(self, synthed):
         tmp_path, cfg = synthed
         assert main(["train", "--config", str(cfg), "--ablation",
@@ -242,6 +263,29 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == EXIT_CHECK_FAILURE
         out = capsys.readouterr().out
         assert "modulate" in out and "FAIL" in out
+
+
+class TestThreadCap:
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="counts threads through /proc")
+    def test_chroma_threads_alone_caps_blas_before_numpy_loads(self):
+        import subprocess
+        import sys
+
+        import chroma
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+        env["CHROMA_THREADS"] = "1"
+        env["PYTHONPATH"] = str(Path(chroma.__file__).parents[1])
+        code = ("import os, chroma, numpy as np\n"
+                "a = np.ones((300, 300))\n"
+                "a @ a\n"
+                "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                "len(os.listdir('/proc/self/task')))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == ["1", "1"]
 
 
 class TestHeatmap:

@@ -27,6 +27,7 @@ from oracles import (
     conv2d_loops,
     deconv2d_loops,
     maxpool2d_loops,
+    maxpool2d_grad_loops,
     avgpool_loops,
     fc_loops,
     inner,
@@ -96,6 +97,24 @@ class TestDeconv2d:
         assert out.shape == (4, 4, 1)
         assert np.array_equal(out.data, np.ones((4, 4, 1)))
 
+    def test_tiling_scatter_matches_adding_onto_zeros(self):
+        # stride == k: each output pixel takes exactly one patch value,
+        # added onto +0, so a -0 comes out as +0
+        from chroma.tensor import _col2im
+        rng = np.random.default_rng(12)
+        oh, ow, k, c = 3, 2, 2, 3
+        cols = rng.normal(size=(oh * ow, k * k * c))
+        cols[rng.random(cols.shape) < 0.3] = -0.0
+        got = _col2im(cols, oh * k, ow * k, c, k, k, oh, ow)
+        patches = cols.reshape(oh, ow, k, k, c)
+        want = np.zeros((oh * k, ow * k, c))
+        for i in range(oh):
+            for j in range(ow):
+                for dy in range(k):
+                    for dx in range(k):
+                        want[i * k + dy, j * k + dx] += patches[i, j, dy, dx]
+        assert got.tobytes() == want.tobytes()
+
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(4, 3, 3))
@@ -162,6 +181,28 @@ class TestMaxpool2d:
     def test_window_larger_than_input(self):
         with pytest.raises(ShapeError, match="larger"):
             maxpool2d(Tensor(np.zeros((2, 2, 1))), k=3, stride=1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ceil_mode", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bytes_match_oracle_with_ties_and_signed_zeros(self, k, stride,
+                                                           ceil_mode, dtype):
+        rng = np.random.default_rng(100 * k + 10 * stride + ceil_mode)
+        # few distinct values: most windows tie, many between +0 and -0
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(8, 7, 3)).astype(dtype)
+        t = Tensor(x, requires_grad=True)
+        out = maxpool2d(t, k=k, stride=stride, ceil_mode=ceil_mode)
+        want = maxpool2d_loops(x, k, stride, ceil_mode=ceil_mode)
+        assert out.data.dtype == want.dtype and out.data.shape == want.shape
+        assert out.data.tobytes() == want.tobytes()
+        # inexact sums, so the order of additions into a pixel shows
+        g = rng.normal(size=out.shape)
+        g[rng.random(out.shape) < 0.2] = -0.0
+        g = g.astype(dtype)
+        out._backward_fn(g)
+        want_grad = maxpool2d_grad_loops(x, k, stride, g, ceil_mode=ceil_mode)
+        assert t.grad.tobytes() == want_grad.tobytes()
 
 
 class TestGlobalAvgpool:
@@ -231,6 +272,51 @@ class TestBatchnorm:
                   mode="eval")
         assert np.array_equal(frozen.mean, stats.mean)
         assert np.array_equal(frozen.var, stats.var)
+
+
+def _batchnorm_reference(x, gamma, beta, mean, var, mode, g):
+    """The straightforward composition: output, running statistics and
+    the gradients of x, gamma and beta for an output gradient g."""
+    axes, n = (0, 1), x.shape[0] * x.shape[1]
+    cur_mu, cur_var = x.mean(axis=axes), x.var(axis=axes)
+    mu, v = (cur_mu, cur_var) if mode == "train" else (mean, var)
+    inv_std = 1.0 / np.sqrt(v + 1e-5)
+    xhat = (x - mu) * inv_std
+    out = gamma * xhat + beta
+    if mode != "eval":
+        mean = 0.9 * mean + (1.0 - 0.9) * cur_mu
+        var = 0.9 * var + (1.0 - 0.9) * cur_var
+    dxhat = g * gamma
+    if mode == "train":
+        dx = (dxhat - dxhat.sum(axis=axes) / n
+              - xhat * (dxhat * xhat).sum(axis=axes) / n) * inv_std
+    else:
+        dx = dxhat * inv_std
+    return out, mean, var, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+class TestBatchnormBytes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "online", "eval"])
+    def test_bit_equal_to_straightforward_composition(self, mode, dtype):
+        rng = np.random.default_rng(31)
+        x = (rng.normal(size=(9, 7, 5)) * 3.0 + 1.5).astype(dtype)
+        gamma = rng.normal(size=5).astype(dtype)
+        beta = rng.normal(size=5).astype(dtype)
+        mean = rng.normal(size=5).astype(dtype)
+        var = (rng.random(5) + 0.5).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        stats = RunningStats(mean.copy(), var.copy())
+        xt = Tensor(x, requires_grad=True)
+        gt = Tensor(gamma, requires_grad=True)
+        bt = Tensor(beta, requires_grad=True)
+        out = batchnorm(xt, gt, bt, stats, mode=mode)
+        out._backward_fn(g)
+        got = (out.data, stats.mean, stats.var, xt.grad, gt.grad, bt.grad)
+        want = _batchnorm_reference(x, gamma, beta, mean, var, mode, g)
+        for name, a, b in zip(("out", "mean", "var", "dx", "dgamma", "dbeta"),
+                              got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestActivations:

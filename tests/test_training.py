@@ -380,6 +380,41 @@ class TestMetrics:
             attention_localization(a, np.ones((4, 4)))
 
 
+class TestEvaluateModel:
+    def _count_cn_passes(self, monkeypatch, cfg, samples):
+        from chroma.networks import CnNet
+        cn, va = build_networks(cfg, len(cfg.vocab()))
+        calls = {"n": 0}
+        real = CnNet.forward
+
+        def counting(self, *args, **kwargs):
+            calls["n"] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CnNet, "forward", counting)
+        metrics = evaluate_model(cn, va, samples, cfg.resolution)
+        return cn, metrics, calls["n"]
+
+    def test_one_color_pass_at_training_resolution(self, monkeypatch):
+        cfg = _tiny_run_config()
+        _, test = _tiny_dataset(cfg)
+        assert test and all(s.image.shape[:2] == (16, 16) for s in test)
+        cn, metrics, passes = self._count_cn_passes(monkeypatch, cfg, test)
+        assert passes == len(test)
+        # the pixel accuracy a separate native-size pass gives
+        with no_grad():
+            want = np.mean([pixel_accuracy(
+                cn_forward(cn, s.image.astype(np.float32)), s.mask,
+                np.full(s.mask.shape, s.label)) for s in test])
+        assert metrics["pixel_accuracy"] == float(want)
+
+    def test_native_pass_when_sizes_differ(self, monkeypatch):
+        cfg = _tiny_run_config(image_size=24)
+        _, test = _tiny_dataset(cfg)
+        _, _, passes = self._count_cn_passes(monkeypatch, cfg, test)
+        assert passes == 2 * len(test)
+
+
 class TestPersistence:
     def test_round_trip_forward_is_bit_identical(self, tmp_path):
         cfg = _tiny_run_config(vocabulary="synthetic6")
