@@ -15,10 +15,19 @@ float32):
 
 Parameters are stored in 32-bit; training keeps its parameters in 32-bit
 too, so a save/load round trip reproduces forward passes bit-exactly.
+
+The reader reads the file once and parses it from memory with one
+cursor. Every count, length and shape is checked against the bytes that
+remain before anything is sliced or allocated, so a truncated or
+corrupt file raises ``ValueError``, never a memory or overflow error.
+The writer replaces the file atomically, so a crash while saving never
+leaves a half-written checkpoint.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,59 +72,88 @@ def _write_records(f, records: dict[str, np.ndarray]) -> None:
         f.write(arr.tobytes())
 
 
-def _read_u32(f, path) -> int:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise ValueError(f"{path}: truncated checkpoint")
-    return _U32.unpack(raw)[0]
+class _Cursor:
+    """Parses the layout from one in-memory copy of the file."""
 
+    def __init__(self, buf: bytes, path):
+        self.buf = buf
+        self.pos = 0
+        self.path = path
 
-def _read_str(f, path) -> str:
-    n = _read_u32(f, path)
-    raw = f.read(n)
-    if len(raw) != n:
-        raise ValueError(f"{path}: truncated checkpoint")
-    return raw.decode("utf-8")
+    def take(self, n: int, what: str) -> int:
+        """Claim the next ``n`` bytes and return where they start."""
+        start = self.pos
+        left = len(self.buf) - start
+        if n > left:
+            raise ValueError(f"{self.path}: truncated checkpoint: {what} runs "
+                             f"past the end ({left} bytes left)")
+        self.pos = start + n
+        return start
 
+    def u32(self, what: str) -> int:
+        return _U32.unpack_from(self.buf, self.take(4, what))[0]
 
-def _read_records(f, path) -> dict[str, np.ndarray]:
-    count = _read_u32(f, path)
-    records: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = _read_str(f, path)
-        ndim = _read_u32(f, path)
-        shape = tuple(_read_u32(f, path) for _ in range(ndim))
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        raw = f.read(n_bytes)
-        if len(raw) != n_bytes:
-            raise ValueError(f"{path}: truncated record {name!r}")
-        records[name] = np.frombuffer(raw, dtype=_F32).reshape(shape).copy()
-    return records
+    def text(self, what: str) -> str:
+        n = self.u32(what)
+        start = self.take(n, what)
+        try:
+            return self.buf[start:start + n].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{self.path}: {what} is not utf-8") from exc
+
+    def records(self, section: str) -> dict[str, np.ndarray]:
+        records: dict[str, np.ndarray] = {}
+        for _ in range(self.u32(f"{section} record count")):
+            name = self.text(f"{section} record name")
+            what = f"record {name!r}"
+            ndim = self.u32(what)
+            shape = struct.unpack_from(f"<{ndim}I", self.buf,
+                                       self.take(4 * ndim, what))
+            count = math.prod(shape)  # Python ints: no overflow
+            start = self.take(4 * count, what)
+            records[name] = np.frombuffer(self.buf, dtype=_F32, count=count,
+                                          offset=start).reshape(shape)
+        return records
 
 
 def write_checkpoint(path, vocabulary, config_text: str,
                      params: dict[str, np.ndarray],
                      optimizer: dict[str, np.ndarray] | None = None) -> None:
+    """Write a checkpoint atomically: the bytes go to a temporary file in
+    the same directory, which then replaces ``path``. If writing fails,
+    the temporary file is removed and ``path`` keeps its old bytes."""
     path = Path(path)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        _write_u32(f, len(vocabulary))
-        for name in vocabulary:
-            _write_str(f, name)
-        _write_str(f, config_text)
-        _write_records(f, params)
-        _write_records(f, optimizer or {})
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            _write_u32(f, len(vocabulary))
+            for name in vocabulary:
+                _write_str(f, name)
+            _write_str(f, config_text)
+            _write_records(f, params)
+            _write_records(f, optimizer or {})
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a malformed file raises ``ValueError``.
+
+    The records are read-only float32 views of the file's bytes; a caller
+    copies what it keeps.
+    """
     path = Path(path)
-    with open(path, "rb") as f:
-        if f.read(len(MAGIC)) != MAGIC:
-            raise ValueError(f"{path}: not a {MAGIC.decode()} checkpoint")
-        n_vocab = _read_u32(f, path)
-        vocabulary = tuple(_read_str(f, path) for _ in range(n_vocab))
-        config_text = _read_str(f, path)
-        params = _read_records(f, path)
-        optimizer = _read_records(f, path)
+    cur = _Cursor(path.read_bytes(), path)
+    if cur.buf[:len(MAGIC)] != MAGIC:
+        raise ValueError(f"{path}: not a {MAGIC.decode()} checkpoint")
+    cur.pos = len(MAGIC)
+    vocabulary = tuple(cur.text("vocabulary name")
+                       for _ in range(cur.u32("vocabulary count")))
+    config_text = cur.text("config text")
+    params = cur.records("parameter")
+    optimizer = cur.records("optimizer")
     return Checkpoint(vocabulary=vocabulary, config_text=config_text,
                       params=params, optimizer=optimizer)

@@ -99,15 +99,18 @@ class SpatialPrior:
     A fixed 1x1 input of value one is pushed through a learned
     deconvolution, so the forward output simply *is* the kernel; training
     the kernel learns where principal objects tend to sit. The kernel is
-    initialized to a discrete Gaussian bump (sigma = k/4) and the unit
-    input never receives gradient.
+    initialized to a discrete Gaussian bump (sigma = k/4), unless an
+    existing ``kernel`` parameter is passed in, and the unit input never
+    receives gradient.
     """
 
-    def __init__(self, size: int, dtype=np.float64):
+    def __init__(self, size: int, dtype=np.float64, kernel: Tensor | None = None):
         if size < 1:
             raise ValueError("spatial prior size must be >= 1")
-        self.kernel = Tensor(gaussian_kernel(size, size / 4.0, dtype),
-                             requires_grad=True, op="prior_kernel")
+        if kernel is None:
+            kernel = Tensor(gaussian_kernel(size, size / 4.0, dtype),
+                            requires_grad=True, op="prior_kernel")
+        self.kernel = kernel
         self.unit_input = Tensor(np.ones((1, 1, 1), dtype=dtype), op="prior_unit")
 
     @property

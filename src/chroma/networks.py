@@ -34,6 +34,7 @@ from chroma.modulation import (
     ImageScore,
     SpatialPrior,
     aggregate_scores,
+    gaussian_kernel,
     modulate,
     rms_normalize,
     spatial_prior_forward,
@@ -88,22 +89,56 @@ def _xavier(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 
 
 class _ParamStore:
-    """Shared bookkeeping: named parameters and batchnorm statistics."""
+    """Shared bookkeeping: named parameters and batchnorm statistics.
 
-    def __init__(self, dtype):
+    A network is either initialized fresh or built from saved
+    ``weights``: an object whose ``param(name, shape)`` returns the saved
+    values of one parameter and whose ``stats(name, shape)`` returns the
+    saved (mean, var) of one batchnorm layer, each checked against the
+    shape the network expects. A network built from weights copies each
+    array once and draws nothing. Gradient buffers are allocated by
+    :meth:`set_trainable`, so a network that is only run forward never
+    holds any.
+    """
+
+    def __init__(self, dtype, seed: int, weights):
         self.dtype = np.dtype(dtype).type
+        self._rng = np.random.default_rng(seed)
+        self._weights = weights
         self._params: dict[str, Tensor] = {}
         self._stats: dict[str, RunningStats] = {}
 
-    def _param(self, name: str, values: np.ndarray) -> Tensor:
-        t = Tensor(values.astype(self.dtype), requires_grad=True, op=name)
+    def _param(self, name: str, shape: tuple[int, ...], init) -> Tensor:
+        """Register a parameter; ``init(shape)`` draws a fresh one."""
+        if self._weights is None:
+            values = np.asarray(init(shape), dtype=self.dtype)
+        else:
+            values = np.array(self._weights.param(name, shape), dtype=self.dtype)
+        t = Tensor(values, op=name)  # no gradient buffer yet
+        t.requires_grad = True
         self._params[name] = t
         return t
 
+    def _xavier_init(self, fan_in: int, fan_out: int):
+        """A ``_param`` initializer: Xavier-uniform draws from the seed."""
+        return lambda shape: _xavier(self._rng, shape, fan_in, fan_out,
+                                     self.dtype)
+
+    def _built(self) -> None:
+        """Drop what only construction needs: the saved weights are views
+        of a whole checkpoint file, which a loaded network must not keep
+        alive."""
+        self._rng = self._weights = None
+
     def _bn(self, name: str, channels: int) -> tuple[Tensor, Tensor, RunningStats]:
-        gamma = self._param(f"{name}.gamma", np.ones(channels))
-        beta = self._param(f"{name}.beta", np.zeros(channels))
-        stats = RunningStats.create(channels, dtype=self.dtype)
+        gamma = self._param(f"{name}.gamma", (channels,), np.ones)
+        beta = self._param(f"{name}.beta", (channels,), np.zeros)
+        if self._weights is None:
+            stats = RunningStats.create(channels, dtype=self.dtype)
+        else:
+            mean, var = self._weights.stats(name, (channels,))
+            stats = RunningStats(np.array(mean, dtype=self.dtype),
+                                 np.array(var, dtype=self.dtype))
         self._stats[name] = stats
         return gamma, beta, stats
 
@@ -152,25 +187,25 @@ class CnNet(_ParamStore):
     """
 
     def __init__(self, num_classes: int, width: int = 72, dtype=np.float64,
-                 seed: int = 0):
-        super().__init__(dtype)
+                 seed: int = 0, weights=None):
+        super().__init__(dtype, seed, weights)
         if num_classes < 2:
             raise ValueError("need at least two color classes")
         self.num_classes = num_classes
         self.width = width
-        rng = np.random.default_rng(seed)
+        xavier = self._xavier_init
         w = width
-        self._param("trunk.conv.w", _xavier(rng, (1, 1, 3, w), 3, w, self.dtype))
-        self._param("trunk.conv.b", np.zeros(w))
+        self._param("trunk.conv.w", (1, 1, 3, w), xavier(3, w))
+        self._param("trunk.conv.b", (w,), np.zeros)
         self.trunk_bn = self._bn("trunk.bn", w)
-        self._param("up.deconv.w", _xavier(rng, (3, 3, w, w), 9 * w, 9 * w,
-                                           self.dtype))
+        self._param("up.deconv.w", (3, 3, w, w), xavier(9 * w, 9 * w))
         self.up_bn = self._bn("up.bn", w)
-        self._param("skip.conv.w", _xavier(rng, (1, 1, 3, w), 3, w, self.dtype))
-        self._param("skip.conv.b", np.zeros(w))
+        self._param("skip.conv.w", (1, 1, 3, w), xavier(3, w))
+        self._param("skip.conv.b", (w,), np.zeros)
         self.skip_bn = self._bn("skip.bn", w)
-        self._param("head.conv.w", np.zeros((1, 1, 2 * w, num_classes)))
-        self._param("head.conv.b", np.zeros(num_classes))
+        self._param("head.conv.w", (1, 1, 2 * w, num_classes), np.zeros)
+        self._param("head.conv.b", (num_classes,), np.zeros)
+        self._built()
 
     @staticmethod
     def geometry(h: int) -> tuple[int, int]:
@@ -234,8 +269,9 @@ class VaNet(_ParamStore):
                  channels: tuple[int, ...] = (16, 32, 64),
                  fc_width: int = 512, bottleneck_channels: int = 8,
                  dec_channels: tuple[int, ...] = (32, 16, 8),
-                 use_prior: bool = True, dtype=np.float64, seed: int = 0):
-        super().__init__(dtype)
+                 use_prior: bool = True, dtype=np.float64, seed: int = 0,
+                 weights=None):
+        super().__init__(dtype, seed, weights)
         if stages < 1 or len(channels) != stages or len(dec_channels) != stages:
             raise ValueError("need one encoder and one decoder width per stage")
         grid = resolution
@@ -253,38 +289,38 @@ class VaNet(_ParamStore):
         self.use_prior = use_prior
         self.grid = grid
 
-        rng = np.random.default_rng(seed)
+        xavier = self._xavier_init
         prev = 3
         self.enc_bns = []
         for i, ch in enumerate(self.channels):
-            self._param(f"enc{i}.conv.w",
-                        _xavier(rng, (3, 3, prev, ch), 9 * prev, 9 * ch, self.dtype))
-            self._param(f"enc{i}.conv.b", np.zeros(ch))
+            self._param(f"enc{i}.conv.w", (3, 3, prev, ch),
+                        xavier(9 * prev, 9 * ch))
+            self._param(f"enc{i}.conv.b", (ch,), np.zeros)
             self.enc_bns.append(self._bn(f"enc{i}.bn", ch))
             prev = ch
         flat = grid * grid * prev
         bottleneck = grid * grid * bottleneck_channels
-        self._param("fc1.w", _xavier(rng, (flat, fc_width), flat, fc_width,
-                                     self.dtype))
-        self._param("fc1.b", np.zeros(fc_width))
-        self._param("fc2.w", _xavier(rng, (fc_width, bottleneck), fc_width,
-                                     bottleneck, self.dtype))
-        self._param("fc2.b", np.zeros(bottleneck))
+        self._param("fc1.w", (flat, fc_width), xavier(flat, fc_width))
+        self._param("fc1.b", (fc_width,), np.zeros)
+        self._param("fc2.w", (fc_width, bottleneck), xavier(fc_width, bottleneck))
+        self._param("fc2.b", (bottleneck,), np.zeros)
         if use_prior:
-            self.prior = SpatialPrior(grid, dtype=self.dtype)
-            self._params["prior.kernel"] = self.prior.kernel
+            kernel = self._param(
+                "prior.kernel", (grid, grid),
+                lambda shape: gaussian_kernel(grid, grid / 4.0, self.dtype))
+            self.prior = SpatialPrior(grid, dtype=self.dtype, kernel=kernel)
         else:
             self.prior = None
         prev = bottleneck_channels
         self.dec_bns = []
         for i, ch in enumerate(self.dec_channels):
-            self._param(f"dec{i}.deconv.w",
-                        _xavier(rng, (2, 2, ch, prev), 4 * prev, 4 * ch, self.dtype))
+            self._param(f"dec{i}.deconv.w", (2, 2, ch, prev),
+                        xavier(4 * prev, 4 * ch))
             self.dec_bns.append(self._bn(f"dec{i}.bn", ch))
             prev = ch
-        self._param("head.conv.w", _xavier(rng, (3, 3, prev, 1), 9 * prev, 9,
-                                           self.dtype))
-        self._param("head.conv.b", np.zeros(1))
+        self._param("head.conv.w", (3, 3, prev, 1), xavier(9 * prev, 9))
+        self._param("head.conv.b", (1,), np.zeros)
+        self._built()
 
     def _validate(self, image: Tensor) -> None:
         if image.data.ndim != 3 or image.shape[2] != 3:

@@ -364,11 +364,20 @@ def deconv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     return result
 
 
+def _ceil_windows(n: int, k: int, stride: int) -> int:
+    """Ceil-mode window count along one axis of length ``n``; the last
+    window must start inside the input, so none is all padding."""
+    count = -(-(n - k) // stride) + 1
+    return count - 1 if (count - 1) * stride >= n else count
+
+
 def maxpool2d(x: Tensor, k: int, stride: int, ceil_mode: bool = False) -> Tensor:
     """Channel-wise max over kxk windows; ties go to the first row-major index.
 
     ``ceil_mode`` pads the bottom/right edge (with -inf, never winning)
-    so that partially covered windows produce an output row/column.
+    so that partially covered windows produce an output row/column; a
+    window that would start in the padding (possible when stride > k) is
+    dropped.
 
     The forward pass keeps a running ``np.maximum`` over the k*k strided
     offset views, in row-major offset order. On a tie ``np.maximum``
@@ -387,10 +396,10 @@ def maxpool2d(x: Tensor, k: int, stride: int, ceil_mode: bool = False) -> Tensor
     if k > h or k > w:
         raise ShapeError(f"maxpool2d: window {k} larger than padded input {h}x{w}")
     if ceil_mode:
-        oh = -(-(h - k) // stride) + 1
-        ow = -(-(w - k) // stride) + 1
-        ph = (oh - 1) * stride + k - h
-        pw = (ow - 1) * stride + k - w
+        oh = _ceil_windows(h, k, stride)
+        ow = _ceil_windows(w, k, stride)
+        ph = max(0, (oh - 1) * stride + k - h)
+        pw = max(0, (ow - 1) * stride + k - w)
     else:
         oh = (h - k) // stride + 1
         ow = (w - k) // stride + 1

@@ -38,6 +38,7 @@ trains both branches jointly with nothing frozen.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -576,16 +577,61 @@ def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
 # model persistence
 
 
-def build_networks(cfg: RunConfig, num_classes: int,
-                   dtype=TRAIN_DTYPE) -> tuple[CnNet, VaNet]:
+@dataclass
+class _BranchRecords:
+    """One branch's checkpoint records, checked as its network takes them.
+
+    Records are looked up as ``<prefix>.<parameter>`` and
+    ``<prefix>.stat.<layer>.{mean,var}``; a missing record or a wrong
+    shape raises :class:`ConfigError`.
+    """
+
+    records: Mapping[str, np.ndarray]
+    prefix: str
+
+    def _get(self, key: str, shape: tuple[int, ...], what: str):
+        rec = self.records.get(key)
+        if rec is not None and rec.shape != shape:
+            raise ConfigError(f"checkpoint {what} {key} has shape {rec.shape}, "
+                              f"expected {shape}")
+        return rec
+
+    def param(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        key = f"{self.prefix}.{name}"
+        rec = self._get(key, shape, "parameter")
+        if rec is None:
+            raise ConfigError(f"checkpoint is missing parameter {key}")
+        return rec
+
+    def stats(self, name: str, shape: tuple[int, ...]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        key = f"{self.prefix}.stat.{name}"
+        mean = self._get(f"{key}.mean", shape, "statistic")
+        var = self._get(f"{key}.var", shape, "statistic")
+        if mean is None or var is None:
+            raise ConfigError(f"checkpoint is missing statistics for "
+                              f"{self.prefix}.{name}")
+        return mean, var
+
+
+def build_networks(cfg: RunConfig, num_classes: int, dtype=TRAIN_DTYPE,
+                   records: Mapping[str, np.ndarray] | None = None
+                   ) -> tuple[CnNet, VaNet]:
+    """Both branches for ``cfg``: freshly initialized, or, given a
+    checkpoint's ``records``, holding copies of the saved parameters and
+    statistics (see :func:`load_model`)."""
+    cn_weights = va_weights = None
+    if records is not None:
+        cn_weights = _BranchRecords(records, "cn")
+        va_weights = _BranchRecords(records, "va")
     cn = CnNet(num_classes=num_classes, width=cfg.cn_width, dtype=dtype,
-               seed=cfg.seed)
+               seed=cfg.seed, weights=cn_weights)
     va = VaNet(resolution=cfg.resolution, stages=cfg.va_stages,
                channels=cfg.va_channel_list(), fc_width=cfg.va_fc_width,
                bottleneck_channels=cfg.va_bottleneck_channels,
                dec_channels=cfg.va_dec_channel_list(),
                use_prior=cfg.ablation != "no-prior", dtype=dtype,
-               seed=cfg.seed + 1)
+               seed=cfg.seed + 1, weights=va_weights)
     return cn, va
 
 
@@ -628,7 +674,13 @@ def save_model(path, cn: CnNet, va: VaNet, cfg: RunConfig,
 
 def load_model(path) -> tuple[CnNet, VaNet, RunConfig, dict]:
     """Rebuild networks from a checkpoint; returns (cn, va, config,
-    resume counters)."""
+    resume counters).
+
+    The networks are built straight from the checkpoint's records: each
+    parameter and statistic is one float32 copy of its record, and
+    nothing is drawn at random. A missing record or a wrong shape raises
+    :class:`ConfigError`; records the networks do not use are ignored.
+    """
     ckpt = read_checkpoint(path)
     counters: dict[str, str] = {}
     config_lines = []
@@ -644,23 +696,5 @@ def load_model(path) -> tuple[CnNet, VaNet, RunConfig, dict]:
     if tuple(ckpt.vocabulary) != vocab.names:
         raise ConfigError(f"checkpoint vocabulary {ckpt.vocabulary} does not "
                           f"match config vocabulary {vocab.names}")
-    cn, va = build_networks(cfg, len(vocab))
-    for prefix, net in (("cn", cn), ("va", va)):
-        for k, p in net.parameters().items():
-            rec = ckpt.params.get(f"{prefix}.{k}")
-            if rec is None:
-                raise ConfigError(f"checkpoint is missing parameter "
-                                  f"{prefix}.{k}")
-            if rec.shape != p.data.shape:
-                raise ConfigError(f"checkpoint parameter {prefix}.{k} has shape "
-                                  f"{rec.shape}, expected {p.data.shape}")
-            p.data[...] = rec.astype(p.data.dtype)
-        for k, s in net.stats().items():
-            mean = ckpt.params.get(f"{prefix}.stat.{k}.mean")
-            var = ckpt.params.get(f"{prefix}.stat.{k}.var")
-            if mean is None or var is None:
-                raise ConfigError(f"checkpoint is missing statistics for "
-                                  f"{prefix}.{k}")
-            s.mean[...] = mean.astype(s.mean.dtype)
-            s.var[...] = var.astype(s.var.dtype)
+    cn, va = build_networks(cfg, len(vocab), records=ckpt.params)
     return cn, va, cfg, counters

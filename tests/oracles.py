@@ -59,6 +59,11 @@ def maxpool2d_loops(x, k, stride, ceil_mode=False):
     if ceil_mode:
         oh = -(-(h - k) // stride) + 1
         ow = -(-(w - k) // stride) + 1
+        # the last window must start inside the input
+        if (oh - 1) * stride >= h:
+            oh -= 1
+        if (ow - 1) * stride >= w:
+            ow -= 1
     else:
         oh = (h - k) // stride + 1
         ow = (w - k) // stride + 1

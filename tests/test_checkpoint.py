@@ -1,9 +1,13 @@
 """Checkpoint binary format contracts."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chroma.checkpoint import MAGIC, read_checkpoint, write_checkpoint
 
@@ -73,3 +77,66 @@ class TestCheckpointFormat:
                          {"s": np.asarray(2.5, dtype=np.float32)}, {})
         back = read_checkpoint(path).params["s"]
         assert back.shape == () and back == np.float32(2.5)
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_checkpoint(path, ("a", "b"), "old",
+                         {"w": np.ones(4, dtype=np.float32)}, {})
+        before = path.read_bytes()
+        # the second record cannot be converted, so the write fails after
+        # the header and the first record are out
+        with pytest.raises(ValueError):
+            write_checkpoint(path, ("a", "b"), "new",
+                             {"w": np.zeros(4, dtype=np.float32),
+                              "bad": "not a number"}, {})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def _valid_checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        write_checkpoint(path, ("red", "blue"), "seed = 1\n",
+                         {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                          "s": np.asarray(2.5, dtype=np.float32)},
+                         {"optimizer/momentum": np.asarray([0.9])})
+        return path.read_bytes()
+
+
+VALID = _valid_checkpoint_bytes()
+
+
+class TestCorruptCheckpoints:
+    """Whatever the damage, the reader raises ValueError and nothing else."""
+
+    @staticmethod
+    def _read(tmp_path, raw: bytes):
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(raw)
+        return read_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.integers(0, len(VALID) - 1))
+    def test_every_truncation_raises_value_error(self, tmp_path, cut):
+        with pytest.raises(ValueError):
+            self._read(tmp_path, VALID[:cut])
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(patches=st.lists(st.tuples(st.integers(0, len(VALID) - 1),
+                                      st.integers(0, 2**32 - 1),
+                                      st.sampled_from([1, 4])),
+                            min_size=1, max_size=4),
+           cut=st.none() | st.integers(0, len(VALID)))
+    def test_patched_bytes_load_or_raise_value_error(self, tmp_path, patches,
+                                                     cut):
+        raw = bytearray(VALID)
+        for offset, value, width in patches:
+            raw[offset:offset + width] = value.to_bytes(4, "little")[:width]
+        try:
+            ckpt = self._read(tmp_path, bytes(raw[:cut]))
+        except ValueError:
+            return
+        for arr in (*ckpt.params.values(), *ckpt.optimizer.values()):
+            assert arr.dtype == np.dtype("<f4")

@@ -252,6 +252,57 @@ class TestInferCommand:
                      "--out", str(tmp_path / "x")]) == EXIT_IO
 
 
+@pytest.fixture()
+def fresh_checkpoint(tmp_path):
+    """A checkpoint of freshly built tiny networks and one test image."""
+    from chroma.config import RunConfig
+    from chroma.training import build_networks, save_model
+    cfg = RunConfig.from_file(_write_cfg(tmp_path))
+    cn, va = build_networks(cfg, len(cfg.vocab()))
+    path = tmp_path / "fresh.ckpt"
+    save_model(path, cn, va, cfg)
+    image = tmp_path / "image.ppm"
+    write_ppm(image, np.random.default_rng(0).uniform(size=(16, 16, 3)))
+    return path, image
+
+
+class TestCorruptCheckpoint:
+    def _infer(self, tmp_path, ckpt, image) -> int:
+        return main(["infer", str(image), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "inf")])
+
+    def test_huge_dimension_is_exit_2(self, tmp_path, fresh_checkpoint, capsys):
+        path, image = fresh_checkpoint
+        raw = bytearray(path.read_bytes())
+        name = b"cn.trunk.conv.w"
+        dim = raw.find(name) + len(name) + 4  # skip ndim to the first dim
+        raw[dim:dim + 4] = (0x7FFFFFFF).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        assert self._infer(tmp_path, path, image) == EXIT_IO
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("cn.trunk.conv.w", None, "missing parameter cn.trunk.conv.w"),
+        ("va.fc1.b", np.zeros(3, dtype=np.float32),
+         "parameter va.fc1.b has shape (3,), expected (24,)"),
+        ("va.stat.enc0.bn.var", None, "missing statistics for va.enc0.bn"),
+    ])
+    def test_records_not_matching_the_networks_are_exit_4(
+            self, tmp_path, fresh_checkpoint, capsys, key, value, message):
+        from chroma.checkpoint import read_checkpoint, write_checkpoint
+        path, image = fresh_checkpoint
+        ckpt = read_checkpoint(path)
+        records = dict(ckpt.params)
+        if value is None:
+            del records[key]
+        else:
+            records[key] = value
+        write_checkpoint(path, ckpt.vocabulary, ckpt.config_text, records,
+                         ckpt.optimizer)
+        assert self._infer(tmp_path, path, image) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
 class TestGradcheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["gradcheck"]) == EXIT_OK

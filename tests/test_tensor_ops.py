@@ -170,6 +170,14 @@ class TestMaxpool2d:
         assert got.shape == want.shape == (3, 4, 2)
         assert np.array_equal(got, want)
 
+    def test_ceil_mode_never_emits_an_all_padding_window(self):
+        # stride > k: a third window per axis would start at 6, past the
+        # 5-pixel edge, and cover only -inf padding
+        x = np.arange(25.0).reshape(5, 5, 1)
+        got = maxpool2d(Tensor(x), k=1, stride=3, ceil_mode=True).data
+        assert np.array_equal(got, [[[0.0], [3.0]], [[15.0], [18.0]]])
+        assert np.array_equal(maxpool2d_loops(x, 1, 3, ceil_mode=True), got)
+
     def test_tie_routes_to_first_row_major_index(self):
         x = Tensor(np.full((2, 2, 1), 5.0), requires_grad=True)
         out = maxpool2d(x, k=2, stride=2)

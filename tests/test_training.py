@@ -431,6 +431,87 @@ class TestPersistence:
             _, _, after = full_forward(cn2, va2, image)
         assert before.y_hat.data.tobytes() == after.y_hat.data.tobytes()
 
+    def test_fresh_default_build_is_pinned(self):
+        cfg = RunConfig()
+        cn, va = build_networks(cfg, len(cfg.vocab()))
+        assert cn.state_digest().hex() == (
+            "46b72a56843530c4aa0ccd7caf0c8890e4cee0c7f99ba1dc1e174375cb91c4c2")
+        assert va.state_digest().hex() == (
+            "e57797a2a8140deab00113d60c5add45a2b09c3d62c745b99424bc4689db4c13")
+
+    def test_loaded_arrays_are_owned_float32_copies(self, tmp_path):
+        cfg = _tiny_run_config()
+        cn, va = build_networks(cfg, len(cfg.vocab()))
+        rng = np.random.default_rng(1)
+        for net in (cn, va):  # stand-ins for trained values
+            for p in net.parameters().values():
+                p.data[...] = rng.normal(size=p.shape)
+            for s in net.stats().values():
+                s.mean[...] = rng.normal(size=s.mean.shape)
+                s.var[...] = rng.uniform(0.5, 2.0, size=s.var.shape)
+        path = tmp_path / "model.ckpt"
+        save_model(path, cn, va, cfg)
+        cn2, va2, _, _ = load_model(path)
+        loaded = []
+        for saved, net in ((cn, cn2), (va, va2)):
+            for name, p in net.parameters().items():
+                assert p.data.tobytes() == saved.parameters()[name].data.tobytes()
+                assert p.grad is None and p.requires_grad, name
+                loaded.append(p.data)
+            for name, s in net.stats().items():
+                want = saved.stats()[name]
+                assert s.mean.tobytes() == want.mean.tobytes(), name
+                assert s.var.tobytes() == want.var.tobytes(), name
+                loaded += [s.mean, s.var]
+        for arr in loaded:
+            assert arr.dtype == np.float32 and arr.flags.c_contiguous
+            assert arr.flags.writeable and arr.flags.owndata
+        for i, a in enumerate(loaded):
+            assert not any(np.may_share_memory(a, b) for b in loaded[i + 1:])
+        image = rng.uniform(size=(16, 16, 3)).astype(np.float32)
+        with no_grad():
+            y, a, score = full_forward(cn, va, image)
+            y2, a2, score2 = full_forward(cn2, va2, image)
+        assert y2.values.data.tobytes() == y.values.data.tobytes()
+        assert a2.values.data.tobytes() == a.values.data.tobytes()
+        assert score2.y_hat.data.tobytes() == score.y_hat.data.tobytes()
+        cn2.set_trainable(True)
+        assert all(not p.grad.any() for p in cn2.parameters().values())
+
+    def test_a_loaded_model_does_not_hold_the_file_buffer(self, tmp_path):
+        import tracemalloc
+        cfg = RunConfig()
+        cn, va = build_networks(cfg, len(cfg.vocab()))
+        path = tmp_path / "model.ckpt"
+        save_model(path, cn, va, cfg)
+        del cn, va
+        tracemalloc.start()
+        try:
+            cn, va, _, _ = load_model(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the parameters and statistics are almost the whole file; a
+        # network that kept the read buffer would hold it twice
+        assert held < 1.2 * path.stat().st_size
+
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        import chroma.networks
+        cfg = _tiny_run_config()
+        cn, va = build_networks(cfg, len(cfg.vocab()))
+        path = tmp_path / "model.ckpt"
+        save_model(path, cn, va, cfg)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a load must not initialize weights")
+
+        monkeypatch.setattr(chroma.networks, "_xavier", no_draws)
+        with pytest.raises(AssertionError, match="must not initialize"):
+            build_networks(cfg, len(cfg.vocab()))
+        cn2, va2, _, _ = load_model(path)
+        assert cn2.state_digest() == cn.state_digest()
+        assert va2.state_digest() == va.state_digest()
+
     def test_counters_round_trip(self, tmp_path):
         cfg = _tiny_run_config()
         cn, va = build_networks(cfg, len(cfg.vocab()))
