@@ -9,9 +9,15 @@ float32):
         resume counters as key = value lines)
     parameter records: count, then per record
         (name length, name, ndim, dims..., raw float32 values)
-    optimizer state: record count, then records in the same encoding
-        (velocity buffers under "velocity/<param>", scalars under
-        "optimizer/<field>")
+    optimizer state: record count, then records in the same encoding;
+        written empty (count 0)
+
+No optimizer state outlives a training stage or phase (pretraining and
+each alternation phase start a fresh momentum buffer), so there is
+nothing to save there. Older files
+carry the base learning rate and momentum in that section; the reader
+bounds-checks their records like any others and discards them, so every
+file in this layout loads.
 
 Parameters are stored in 32-bit; training keeps its parameters in 32-bit
 too, so a save/load round trip reproduces forward passes bit-exactly.
@@ -29,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +52,6 @@ class Checkpoint:
     vocabulary: tuple[str, ...]
     config_text: str
     params: dict[str, np.ndarray]
-    optimizer: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _write_u32(f, value: int) -> None:
@@ -117,8 +122,7 @@ class _Cursor:
 
 
 def write_checkpoint(path, vocabulary, config_text: str,
-                     params: dict[str, np.ndarray],
-                     optimizer: dict[str, np.ndarray] | None = None) -> None:
+                     params: dict[str, np.ndarray]) -> None:
     """Write a checkpoint atomically: the bytes go to a temporary file in
     the same directory, which then replaces ``path``. If writing fails,
     the temporary file is removed and ``path`` keeps its old bytes."""
@@ -132,7 +136,7 @@ def write_checkpoint(path, vocabulary, config_text: str,
                 _write_str(f, name)
             _write_str(f, config_text)
             _write_records(f, params)
-            _write_records(f, optimizer or {})
+            _write_records(f, {})  # the optimizer section, kept empty
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -154,6 +158,6 @@ def read_checkpoint(path) -> Checkpoint:
                        for _ in range(cur.u32("vocabulary count")))
     config_text = cur.text("config text")
     params = cur.records("parameter")
-    optimizer = cur.records("optimizer")
+    cur.records("optimizer")  # checked, then dropped: nothing reads it
     return Checkpoint(vocabulary=vocabulary, config_text=config_text,
-                      params=params, optimizer=optimizer)
+                      params=params)

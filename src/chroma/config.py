@@ -115,9 +115,12 @@ class RunConfig:
         if self.ablation not in self.ABLATIONS:
             raise ConfigError(f"ablation must be one of {self.ABLATIONS}, got "
                               f"{self.ablation!r}")
-        for name in ("learning_rate", "momentum", "convergence_tol"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be positive")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("momentum must lie in [0, 1)")
+        if self.convergence_tol < 0:
+            raise ConfigError("convergence_tol must be non-negative")
         for name in ("resolution", "cn_batch_size", "va_batch_size",
                      "pretrain_epochs", "phase_epochs", "max_phases",
                      "cn_width", "va_stages", "va_fc_width",

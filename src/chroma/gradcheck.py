@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chroma.modulation import AttentionMap, SpatialPrior, aggregate_scores, \
-    modulate, rms_normalize, spatial_prior_forward
+from chroma.modulation import AttentionMap, aggregate_scores, modulate, \
+    rms_normalize
 from chroma.networks import CnNet, ColorNameMap, VaNet, full_forward, \
     masked_nll_loss
 from chroma.tensor import (
@@ -163,17 +163,6 @@ def _op_checks() -> list[tuple[str, float, float]]:
 
     results.append(("rms_normalize/input",
                     finite_diff_check(rms_loss, xn), OP_TOLERANCE))
-
-    prior = SpatialPrior(4)
-    feats = Tensor(rng.uniform(0.1, 1.0, size=(4, 4, 3)))
-
-    def prior_loss():
-        field = spatial_prior_forward(prior, stride=4)
-        return cross_entropy(
-            aggregate_scores(modulate(feats, AttentionMap(field))).y_hat, 0)
-
-    results.append(("spatial_prior/kernel",
-                    finite_diff_check(prior_loss, prior.kernel), OP_TOLERANCE))
 
     probs = rng.dirichlet(np.ones(4), size=(5, 5))
     ymap = Tensor(probs, requires_grad=True)

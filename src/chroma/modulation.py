@@ -1,4 +1,5 @@
-"""Attention modulation, the learned spatial prior, and score aggregation.
+"""Attention modulation, the spatial prior's initial kernel, and score
+aggregation.
 
 The modulation layer multiplies every channel of a per-pixel score map
 by a single attention map. Its backward rule is written out explicitly:
@@ -33,7 +34,6 @@ mean(A) <= rms(A) = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,26 +43,18 @@ from chroma.tensor import (
     ShapeError,
     _make_node,
     _accum,
-    deconv2d,
     global_avgpool,
-    reshape,
     vector_softmax,
 )
 
 __all__ = [
     "AttentionMap",
     "ImageScore",
-    "SpatialPrior",
     "modulate",
     "rms_normalize",
-    "spatial_prior_forward",
     "aggregate_scores",
     "gaussian_kernel",
 ]
-
-# test hook: when True, the modulation backward is deliberately wrong so
-# the gradient-check command can prove it catches broken backward rules
-_corrupt_backward = False
 
 
 @dataclass
@@ -93,33 +85,9 @@ class ImageScore:
         return self.y_hat.data.copy()
 
 
-class SpatialPrior:
-    """Learned center-bias layer.
-
-    A fixed 1x1 input of value one is pushed through a learned
-    deconvolution, so the forward output simply *is* the kernel; training
-    the kernel learns where principal objects tend to sit. The kernel is
-    initialized to a discrete Gaussian bump (sigma = k/4), unless an
-    existing ``kernel`` parameter is passed in, and the unit input never
-    receives gradient.
-    """
-
-    def __init__(self, size: int, dtype=np.float64, kernel: Tensor | None = None):
-        if size < 1:
-            raise ValueError("spatial prior size must be >= 1")
-        if kernel is None:
-            kernel = Tensor(gaussian_kernel(size, size / 4.0, dtype),
-                            requires_grad=True, op="prior_kernel")
-        self.kernel = kernel
-        self.unit_input = Tensor(np.ones((1, 1, 1), dtype=dtype), op="prior_unit")
-
-    @property
-    def size(self) -> int:
-        return self.kernel.shape[0]
-
-
 def gaussian_kernel(size: int, sigma: float, dtype=np.float64) -> np.ndarray:
-    """Discrete Gaussian bump with peak value 1, centered on the grid."""
+    """Discrete Gaussian bump with peak value 1, centered on the grid: the
+    initial value of the attention branch's learned spatial prior."""
     c = (size - 1) / 2.0
     idx = np.arange(size, dtype=dtype)
     d2 = (idx - c) ** 2
@@ -134,7 +102,8 @@ def modulate(y: Tensor, attention: AttentionMap) -> Tensor:
     """Multiply every channel of ``y`` [H,W,C] by the attention map.
 
     Maps from the attention branch have unit root mean square (see the
-    module docstring); the spatial prior's field keeps its learned scale.
+    module docstring); the spatial prior kernel that modulates the
+    attention branch's bottleneck keeps its learned scale.
     """
     a = attention.values
     if y.data.ndim != 3:
@@ -146,8 +115,6 @@ def modulate(y: Tensor, attention: AttentionMap) -> Tensor:
     result = _make_node(out, "modulate", (y, a))
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
-            if _corrupt_backward:
-                g = g + 1.0
             if y.requires_grad or y._parents:
                 _accum(y, a.data[:, :, None] * g)
             if a.requires_grad or a._parents:
@@ -174,22 +141,6 @@ def rms_normalize(a: Tensor) -> Tensor:
             _accum(a, (g - out * inner) / m)
         result._backward_fn = _backward
     return result
-
-
-def spatial_prior_forward(prior: SpatialPrior, stride: int,
-                          expected_hw: tuple[int, int] | None = None) -> Tensor:
-    """Deconvolve the fixed unit input; output equals the kernel.
-
-    ``expected_hw`` asserts the prior matches the bottleneck grid it is
-    about to modulate.
-    """
-    k = prior.size
-    if expected_hw is not None and (k, k) != tuple(expected_hw):
-        raise ShapeError(f"spatial prior is {k}x{k} but the bottleneck grid is "
-                         f"{expected_hw[0]}x{expected_hw[1]}")
-    kernel4d = reshape(prior.kernel, (k, k, 1, 1))
-    out = deconv2d(prior.unit_input, kernel4d, stride=stride)
-    return reshape(out, (k, k))
 
 
 def aggregate_scores(y_hat: Tensor) -> ImageScore:

@@ -13,9 +13,15 @@ for a pretrained segmentation backbone, with the same structural slots:
 conv/pool encoder stages, two fully connected bottleneck layers reshaped
 onto the bottleneck grid, multiplicative modulation by the learned
 spatial prior, transposed-conv upsampling, and a rectified one-channel
-head whose map is rescaled to unit root mean square. At the default
-64x64 resolution with three stages the bottleneck grid is 8x8 and the
-bottleneck widths are 512.
+head whose map is rescaled to unit root mean square. The spatial prior
+is a learned center-bias map over the bottleneck grid, one parameter
+(``prior.kernel``) initialized to a Gaussian bump, that multiplies every
+bottleneck channel. At the default 64x64 resolution with three stages
+the bottleneck grid is 8x8 and the bottleneck widths are 512.
+
+:func:`full_forward` is the one path from an image to a color map, an
+attention map and an image score; without an attention branch it pools
+the unmodulated color map.
 
 A network instance is single-writer during training; once loaded from a
 checkpoint, read-only inference may be shared freely.
@@ -32,12 +38,10 @@ import numpy as np
 from chroma.modulation import (
     AttentionMap,
     ImageScore,
-    SpatialPrior,
     aggregate_scores,
     gaussian_kernel,
     modulate,
     rms_normalize,
-    spatial_prior_forward,
 )
 from chroma.tensor import (
     LOG_CLAMP,
@@ -63,7 +67,6 @@ __all__ = [
     "CnNet",
     "VaNet",
     "cn_forward",
-    "va_forward",
     "full_forward",
     "masked_nll_loss",
 ]
@@ -191,8 +194,6 @@ class CnNet(_ParamStore):
         super().__init__(dtype, seed, weights)
         if num_classes < 2:
             raise ValueError("need at least two color classes")
-        self.num_classes = num_classes
-        self.width = width
         xavier = self._xavier_init
         w = width
         self._param("trunk.conv.w", (1, 1, 3, w), xavier(3, w))
@@ -244,9 +245,6 @@ class CnNet(_ParamStore):
         logits = conv2d(concat_channels(t, s), p["head.conv.w"], p["head.conv.b"])
         return channel_softmax(logits)
 
-    def hyper(self) -> dict:
-        return {"num_classes": self.num_classes, "width": self.width}
-
 
 class VaNet(_ParamStore):
     """Attention branch: image -> non-negative relevance map.
@@ -283,7 +281,6 @@ class VaNet(_ParamStore):
         self.resolution = resolution
         self.stages = stages
         self.channels = tuple(channels)
-        self.fc_width = fc_width
         self.bottleneck_channels = bottleneck_channels
         self.dec_channels = tuple(dec_channels)
         self.use_prior = use_prior
@@ -305,12 +302,9 @@ class VaNet(_ParamStore):
         self._param("fc2.w", (fc_width, bottleneck), xavier(fc_width, bottleneck))
         self._param("fc2.b", (bottleneck,), np.zeros)
         if use_prior:
-            kernel = self._param(
-                "prior.kernel", (grid, grid),
-                lambda shape: gaussian_kernel(grid, grid / 4.0, self.dtype))
-            self.prior = SpatialPrior(grid, dtype=self.dtype, kernel=kernel)
-        else:
-            self.prior = None
+            self._param("prior.kernel", (grid, grid),
+                        lambda shape: gaussian_kernel(grid, grid / 4.0,
+                                                      self.dtype))
         prev = bottleneck_channels
         self.dec_bns = []
         for i, ch in enumerate(self.dec_channels):
@@ -348,10 +342,8 @@ class VaNet(_ParamStore):
         z = relu(fully_connected(flat, p["fc1.w"], p["fc1.b"]))
         z = relu(fully_connected(z, p["fc2.w"], p["fc2.b"]))
         h = reshape(z, (g, g, self.bottleneck_channels))
-        if self.prior is not None:
-            prior_field = spatial_prior_forward(self.prior, stride=4,
-                                                expected_hw=(g, g))
-            h = modulate(h, AttentionMap(prior_field))
+        if self.use_prior:
+            h = modulate(h, AttentionMap(p["prior.kernel"]))
         for i in range(self.stages):
             h = deconv2d(h, p[f"dec{i}.deconv.w"], stride=2)
             h = relu(batchnorm(h, *self.dec_bns[i], mode=mode))
@@ -360,35 +352,25 @@ class VaNet(_ParamStore):
         a = relu(conv2d(h, p["head.conv.w"], p["head.conv.b"], padding=1))
         return rms_normalize(reshape(a, (self.resolution, self.resolution)))
 
-    def hyper(self) -> dict:
-        return {
-            "resolution": self.resolution,
-            "stages": self.stages,
-            "channels": self.channels,
-            "fc_width": self.fc_width,
-            "bottleneck_channels": self.bottleneck_channels,
-            "dec_channels": self.dec_channels,
-            "use_prior": self.use_prior,
-        }
-
 
 def cn_forward(net: CnNet, image, train: bool = False) -> ColorNameMap:
     """Per-pixel color-name distribution for an image."""
     return ColorNameMap(net.forward(image, train=train))
 
 
-def va_forward(net: VaNet, image, train: bool = False) -> AttentionMap:
-    """Attention map for an image; entries are non-negative."""
-    return AttentionMap(net.forward(image, train=train))
+def full_forward(cn: CnNet, va: VaNet | None, image, train: bool = False
+                 ) -> tuple[ColorNameMap, AttentionMap | None, ImageScore]:
+    """Run both branches and aggregate the modulated map into a score.
 
-
-def full_forward(cn: CnNet, va: VaNet, image, train: bool = False
-                 ) -> tuple[ColorNameMap, AttentionMap, ImageScore]:
-    """Run both branches and aggregate the modulated map into a score."""
+    ``va=None`` means there is no attention branch: the score pools the
+    unmodulated color map and the attention is None. (Modulating by an
+    all-ones map would give bit-identical scores.)
+    """
     y_map = cn_forward(cn, image, train=train)
-    attention = va_forward(va, image, train=train)
-    score = aggregate_scores(modulate(y_map.values, attention))
-    return y_map, attention, score
+    if va is None:
+        return y_map, None, aggregate_scores(y_map.values)
+    attention = AttentionMap(va.forward(image, train=train))
+    return y_map, attention, aggregate_scores(modulate(y_map.values, attention))
 
 
 def masked_nll_loss(y_map: ColorNameMap, mask: np.ndarray, label: int) -> Tensor:

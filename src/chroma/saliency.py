@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from chroma import netpbm
-
-__all__ = ["compute_saliency", "binarize", "save_field_pgm"]
+__all__ = ["compute_saliency", "binarize"]
 
 BORDER_FRACTION = 0.1
 
@@ -71,8 +69,3 @@ def binarize(field: np.ndarray, method: str = "mean",
     if field.max() - field.min() <= 1e-12:
         return np.zeros(field.shape, dtype=np.uint8)
     return (field >= t).astype(np.uint8)
-
-
-def save_field_pgm(path, field: np.ndarray) -> None:
-    """Debug dump of a saliency field as 8-bit grayscale PGM."""
-    netpbm.write_pgm(path, np.asarray(field, dtype=np.float64))

@@ -31,8 +31,6 @@ __all__ = [
     "ShapeError",
     "OptimizerState",
     "no_grad",
-    "set_default_dtype",
-    "default_dtype",
     "conv2d",
     "deconv2d",
     "maxpool2d",
@@ -63,18 +61,6 @@ _grad_enabled = True
 
 class ShapeError(ValueError):
     """Raised when tensor shapes are incompatible with an operation."""
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the float width used for tensors built from plain Python data."""
-    global _DEFAULT_DTYPE
-    if np.dtype(dtype) not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = np.dtype(dtype).type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 class no_grad:
@@ -148,9 +134,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         else:
             self.grad[...] = 0.0
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, op="detach")
 
     def backward(self, seed: float = 1.0) -> None:
         """Populate gradients of every tensor this scalar depends on.

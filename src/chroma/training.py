@@ -11,6 +11,14 @@ statistics) are bit-identical across the other branch's phase; the
 frozen branch's outputs are precomputed once per phase since they
 cannot change.
 
+Both stages take the :class:`RunConfig` and run their epochs through
+one loop (:func:`_run_epochs`): learning rate, shuffle, minibatches of
+per-image graphs, an SGD step per batch, a restore of the last good
+state on divergence, validation and a log row. Each stage supplies only
+its per-image loss and the parameters it steps. Every stage, and each
+phase within alternation, starts a fresh momentum buffer, so no
+optimizer state outlives a phase or goes into a checkpoint.
+
 Step sizes: every phase steps with the same schedule. The attention
 branch emits maps of unit root mean square (see :class:`VaNet`), so the
 gradients reaching the color branch in a CN phase are those of the
@@ -29,10 +37,11 @@ phase. The learning-rate schedule ``base * 10**-(e // decay_epochs)``
 runs on one counter spanning all alternation phases (pretraining, a
 separate stage, has its own counter).
 
-Ablation switches: ``no-attention`` trains the color branch alone with
-unit attention for the same epoch budget, ``no-prior`` builds the
-attention branch without the spatial prior, and ``no-alternation``
-trains both branches jointly with nothing frozen.
+Ablation switches: ``no-attention`` runs the model without an attention
+branch (see :func:`attention_branch`) and trains the color branch alone
+for the same epoch budget, ``no-prior`` builds the attention branch
+without the spatial prior, and ``no-alternation`` trains both branches
+jointly with nothing frozen.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from chroma.checkpoint import read_checkpoint, write_checkpoint
-from chroma.config import ConfigError, RunConfig, parse_kv_text
+from chroma.config import ConfigError, RunConfig
 from chroma.data import EvalSample, WeakSample, resize_bilinear
 from chroma.modulation import AttentionMap, ImageScore, aggregate_scores, modulate
 from chroma.networks import (
@@ -57,14 +66,13 @@ from chroma.networks import (
 )
 from chroma.saliency import binarize, compute_saliency
 from chroma.tensor import OptimizerState, Tensor, cross_entropy, no_grad, sgd_step
-from chroma.vocab import get_vocabulary
 
 __all__ = [
-    "TrainConfig",
     "EpochRecord",
     "TrainLog",
     "DivergenceError",
     "lr_at_epoch",
+    "attention_branch",
     "pretrain_cn",
     "alternating_train",
     "pixel_accuracy",
@@ -86,43 +94,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, log: "TrainLog"):
         super().__init__(message)
         self.log = log
-
-
-@dataclass
-class TrainConfig:
-    """Optimization hyperparameters (paper values as defaults)."""
-
-    learning_rate: float = 0.01
-    lr_decay_epochs: int = 20
-    momentum: float = 0.9
-    cn_batch_size: int = 32
-    va_batch_size: int = 6
-    pretrain_epochs: int = 10
-    phase_epochs: int = 5
-    max_phases: int = 10
-    convergence_tol: float = 1e-3
-    seed: int = 0
-    ablation: str = "none"
-
-    @classmethod
-    def from_run_config(cls, cfg: RunConfig) -> "TrainConfig":
-        return cls(learning_rate=cfg.learning_rate,
-                   lr_decay_epochs=cfg.lr_decay_epochs,
-                   momentum=cfg.momentum,
-                   cn_batch_size=cfg.cn_batch_size,
-                   va_batch_size=cfg.va_batch_size,
-                   pretrain_epochs=cfg.pretrain_epochs,
-                   phase_epochs=cfg.phase_epochs,
-                   max_phases=cfg.max_phases,
-                   convergence_tol=cfg.convergence_tol,
-                   seed=cfg.seed,
-                   ablation=cfg.ablation)
-
-    def validate_against(self, n_train: int) -> None:
-        if n_train < 1:
-            raise ConfigError("training split is empty")
-        if self.cn_batch_size > n_train or self.va_batch_size > n_train:
-            raise ConfigError(f"batch size exceeds dataset size {n_train}")
 
 
 @dataclass
@@ -174,6 +145,13 @@ def lr_at_epoch(base_lr: float, epoch: int, decay_epochs: int = 20) -> float:
     return base_lr * 10.0 ** (-(epoch // decay_epochs))
 
 
+def attention_branch(va: VaNet | None, ablation: str) -> VaNet | None:
+    """The attention branch a model with this ablation runs: none under
+    ``no-attention``, whose networks still carry an untrained VaNet so
+    its checkpoints keep the same records."""
+    return None if ablation == "no-attention" else va
+
+
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(epoch,)))
@@ -214,33 +192,100 @@ def _restore(nets, snaps) -> None:
             s.var[...] = snap["stats"][k].var
 
 
-def _unit_attention(resolution: int) -> AttentionMap:
-    return AttentionMap(Tensor(np.ones((resolution, resolution),
-                                       dtype=TRAIN_DTYPE)))
-
-
-def _validation_accuracy(cn: CnNet, va: VaNet | None, images, labels,
-                         ablation: str) -> float:
+def _validation_accuracy(cn: CnNet, va: VaNet | None, images, labels) -> float:
     if not images:
         return 0.0
     correct = 0
     with no_grad():
         for img, label in zip(images, labels):
-            y = cn_forward(cn, img)
-            if ablation == "no-attention" or va is None:
-                score = aggregate_scores(y.values)
-            else:
-                a = AttentionMap(va.forward(img))
-                score = aggregate_scores(modulate(y.values, a))
-            correct += score.argmax() == label
+            correct += full_forward(cn, va, img)[2].argmax() == label
     return correct / len(images)
+
+
+@dataclass
+class _StageData:
+    """A training stage's images and labels at the training resolution."""
+
+    images: list[np.ndarray]
+    labels: list[int]
+    val_images: list[np.ndarray]
+    val_labels: list[int]
+
+    @classmethod
+    def prepare(cls, config: RunConfig, train_samples: list[WeakSample],
+                val_samples, resolution: int | None) -> "_StageData":
+        n_train = len(train_samples)
+        if n_train < 1:
+            raise ConfigError("training split is empty")
+        if config.cn_batch_size > n_train or config.va_batch_size > n_train:
+            raise ConfigError(f"batch size exceeds dataset size {n_train}")
+        resolution = resolution or train_samples[0].image.shape[0]
+        return cls(images=_prepare_images(train_samples, resolution),
+                   labels=[s.label for s in train_samples],
+                   val_images=_prepare_images(list(val_samples), resolution),
+                   val_labels=[s.label for s in val_samples])
+
+
+def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
+                phase: str, nets, params: Mapping[str, Tensor], image_loss,
+                batch_size: int, n_epochs: int, epoch: int, lr_origin: int,
+                cn: CnNet, va: VaNet | None) -> tuple[int, list[float]]:
+    """Run ``n_epochs`` SGD epochs of one stage or phase.
+
+    ``image_loss(i)`` builds the loss graph of training image ``i``; a
+    batch's per-image graphs are backpropagated one at a time with
+    ``seed=1/len(batch)`` and ``params`` (all of ``nets``' parameters)
+    take one momentum step per batch. The learning rate follows
+    :func:`lr_at_epoch` on ``epoch - lr_origin``. A non-finite loss or
+    gradient restores ``nets`` to the start of the epoch and raises
+    :class:`DivergenceError`. Each epoch logs its mean loss and the
+    validation accuracy of the model ``(cn, va)``. Returns the next
+    global epoch index and the epoch-mean losses.
+    """
+    what = "pretraining" if phase == "PRETRAIN" else f"{phase} phase"
+    opt = OptimizerState(learning_rate=config.learning_rate,
+                         momentum=config.momentum)
+    epoch_losses = []
+    for _ in range(n_epochs):
+        t0 = time.perf_counter()
+        opt.learning_rate = lr_at_epoch(config.learning_rate, epoch - lr_origin,
+                                        config.lr_decay_epochs)
+        good = _snapshot(nets)
+        order = _epoch_order(config.seed, epoch, len(data.images))
+        batch_losses = []
+        try:
+            for batch in _batches(order, batch_size):
+                for net in nets:
+                    net.zero_grads()
+                batch_loss = 0.0
+                for idx in batch:
+                    loss = image_loss(idx)
+                    loss.backward(seed=1.0 / len(batch))
+                    batch_loss += loss.item() / len(batch)
+                sgd_step(params, {k: p.grad for k, p in params.items()}, opt)
+                batch_losses.append(batch_loss)
+        except FloatingPointError as exc:
+            _restore(nets, good)
+            raise DivergenceError(f"{what} diverged at epoch {epoch}: {exc}",
+                                  log) from exc
+        mean_loss = float(np.mean(batch_losses))
+        if not np.isfinite(mean_loss):
+            _restore(nets, good)
+            raise DivergenceError(f"{what} diverged at epoch {epoch}", log)
+        val_acc = _validation_accuracy(cn, va, data.val_images, data.val_labels)
+        log.add(epoch=epoch, phase=phase, mean_loss=mean_loss,
+                val_image_accuracy=val_acc, learning_rate=opt.learning_rate,
+                wall_time=time.perf_counter() - t0)
+        epoch += 1
+        epoch_losses.append(mean_loss)
+    return epoch, epoch_losses
 
 
 # ---------------------------------------------------------------------------
 # pretraining
 
 
-def pretrain_cn(cn: CnNet, train_samples: list[WeakSample], config: TrainConfig,
+def pretrain_cn(cn: CnNet, train_samples: list[WeakSample], config: RunConfig,
                 mask_fn=None, val_samples: list[WeakSample] = (),
                 resolution: int | None = None, log: TrainLog | None = None,
                 start_epoch: int = 0) -> tuple[TrainLog, int]:
@@ -250,55 +295,22 @@ def pretrain_cn(cn: CnNet, train_samples: list[WeakSample], config: TrainConfig,
     :class:`DivergenceError` (after restoring the last finite epoch's
     state) if the loss goes non-finite.
     """
-    config.validate_against(len(train_samples))
+    data = _StageData.prepare(config, train_samples, val_samples, resolution)
     log = log if log is not None else TrainLog()
-    resolution = resolution or train_samples[0].image.shape[0]
-    images = _prepare_images(train_samples, resolution)
-    labels = [s.label for s in train_samples]
-    val_images = _prepare_images(list(val_samples), resolution)
-    val_labels = [s.label for s in val_samples]
     if mask_fn is None:
         mask_fn = lambda img: binarize(compute_saliency(img))
-    masks = [mask_fn(img) for img in images]
+    masks = [mask_fn(img) for img in data.images]
 
-    params = cn.parameters()
+    def image_loss(i):
+        y = cn_forward(cn, data.images[i], train=True)
+        return masked_nll_loss(y, masks[i], data.labels[i])
+
     cn.set_trainable(True)
-    opt = OptimizerState(learning_rate=config.learning_rate,
-                         momentum=config.momentum)
-    epoch = start_epoch
-    for _ in range(config.pretrain_epochs):
-        t0 = time.perf_counter()
-        opt.learning_rate = lr_at_epoch(config.learning_rate,
-                                        epoch - start_epoch,
-                                        config.lr_decay_epochs)
-        good = _snapshot([cn])
-        order = _epoch_order(config.seed, epoch, len(images))
-        batch_losses = []
-        try:
-            for batch in _batches(order, config.cn_batch_size):
-                cn.zero_grads()
-                batch_loss = 0.0
-                for idx in batch:
-                    y = cn_forward(cn, images[idx], train=True)
-                    loss = masked_nll_loss(y, masks[idx], labels[idx])
-                    loss.backward(seed=1.0 / len(batch))
-                    batch_loss += loss.item() / len(batch)
-                sgd_step(params, {k: p.grad for k, p in params.items()}, opt)
-                batch_losses.append(batch_loss)
-        except FloatingPointError as exc:
-            _restore([cn], good)
-            raise DivergenceError(f"pretraining diverged at epoch {epoch}: {exc}",
-                                  log) from exc
-        mean_loss = float(np.mean(batch_losses))
-        if not np.isfinite(mean_loss):
-            _restore([cn], good)
-            raise DivergenceError(f"pretraining diverged at epoch {epoch}", log)
-        val_acc = _validation_accuracy(cn, None, val_images, val_labels,
-                                       "no-attention")
-        log.add(epoch=epoch, phase="PRETRAIN", mean_loss=mean_loss,
-                val_image_accuracy=val_acc, learning_rate=opt.learning_rate,
-                wall_time=time.perf_counter() - t0)
-        epoch += 1
+    epoch, _ = _run_epochs(
+        config, data, log, phase="PRETRAIN", nets=[cn], params=cn.parameters(),
+        image_loss=image_loss, batch_size=config.cn_batch_size,
+        n_epochs=config.pretrain_epochs, epoch=start_epoch,
+        lr_origin=start_epoch, cn=cn, va=None)
     return log, epoch
 
 
@@ -321,8 +333,27 @@ def _calibrate_batchnorm(net, images) -> None:
             net.forward(img, train=True)
 
 
+def _phase_loss(phase: str, cn: CnNet, attention: VaNet | None,
+                data: _StageData):
+    """One phase's per-image loss: the cross entropy of the image score,
+    as a function of the image index. A frozen branch's outputs are
+    computed once, up front."""
+    images = data.images
+    if phase == "VA":
+        colors = _cache_forward(cn, images)
+        score = lambda i: aggregate_scores(modulate(
+            colors[i], AttentionMap(attention.forward(images[i], train=True))))
+    elif phase == "CN" and attention is not None:
+        maps = [AttentionMap(a) for a in _cache_forward(attention, images)]
+        score = lambda i: aggregate_scores(modulate(
+            cn.forward(images[i], train=True), maps[i]))
+    else:  # JOINT, or a CN phase without an attention branch
+        score = lambda i: full_forward(cn, attention, images[i], train=True)[2]
+    return lambda i: cross_entropy(score(i).y_hat, data.labels[i])
+
+
 def alternating_train(cn: CnNet, va: VaNet, train_samples: list[WeakSample],
-                      config: TrainConfig, val_samples: list[WeakSample] = (),
+                      config: RunConfig, val_samples: list[WeakSample] = (),
                       resolution: int | None = None,
                       log: TrainLog | None = None, start_epoch: int = 0,
                       start_phase: int = 0,
@@ -334,16 +365,11 @@ def alternating_train(cn: CnNet, va: VaNet, train_samples: list[WeakSample],
     losses falls below ``convergence_tol`` or after ``max_phases``
     phases. Returns the log and the next global epoch index.
     """
-    config.validate_against(len(train_samples))
+    data = _StageData.prepare(config, train_samples, val_samples, resolution)
     log = log if log is not None else TrainLog()
-    resolution = resolution or train_samples[0].image.shape[0]
-    images = _prepare_images(train_samples, resolution)
-    labels = [s.label for s in train_samples]
-    val_images = _prepare_images(list(val_samples), resolution)
-    val_labels = [s.label for s in val_samples]
-    unit = _unit_attention(resolution)
-    if start_phase == 0 and config.ablation != "no-attention":
-        _calibrate_batchnorm(va, images)
+    attention = attention_branch(va, config.ablation)
+    if start_phase == 0 and attention is not None:
+        _calibrate_batchnorm(va, data.images)
 
     # the lr counter spans the alternation phases; log epochs stay
     # globally monotone across pretraining and phases
@@ -355,85 +381,26 @@ def alternating_train(cn: CnNet, va: VaNet, train_samples: list[WeakSample],
         # VA epoch; halving the phase budget keeps total compute equal
         max_phases = (config.max_phases + 1) // 2
     for phase_idx in range(start_phase, max_phases):
-        if config.ablation == "no-attention":
+        if attention is None:
             phase = "CN"
         elif config.ablation == "no-alternation":
             phase = "JOINT"
         else:
             phase = "VA" if phase_idx % 2 == 0 else "CN"
-
-        if phase == "VA":
-            trainable, frozen = [va], [cn]
-            batch_size = config.va_batch_size
-            cached = _cache_forward(cn, images)
-        elif phase == "CN":
-            trainable, frozen = [cn], ([] if config.ablation == "no-attention"
-                                       else [va])
-            batch_size = config.cn_batch_size
-            cached = (None if config.ablation == "no-attention"
-                      else _cache_forward(va, images))
-        else:  # JOINT
-            trainable, frozen = [cn, va], []
-            batch_size = config.va_batch_size
-            cached = None
-        for net in frozen:
-            net.set_trainable(False)
-        for net in trainable:
-            net.set_trainable(True)
+        trainable = {"VA": [va], "CN": [cn], "JOINT": [cn, va]}[phase]
+        for net in (cn, va):
+            net.set_trainable(net in trainable)
         params = {}
         for net in trainable:
             prefix = "cn." if net is cn else "va."
             params.update({prefix + k: p for k, p in net.parameters().items()})
-        opt = OptimizerState(learning_rate=config.learning_rate,
-                             momentum=config.momentum)
-
-        epoch_losses = []
-        for _ in range(config.phase_epochs):
-            t0 = time.perf_counter()
-            opt.learning_rate = lr_at_epoch(config.learning_rate,
-                                            epoch - alternation_start,
-                                            config.lr_decay_epochs)
-            good = _snapshot([cn, va])
-            order = _epoch_order(config.seed, epoch, len(images))
-            batch_losses = []
-            try:
-                for batch in _batches(order, batch_size):
-                    for net in trainable:
-                        net.zero_grads()
-                    batch_loss = 0.0
-                    for idx in batch:
-                        if phase == "VA":
-                            y_values = cached[idx]
-                            a = AttentionMap(va.forward(images[idx], train=True))
-                        elif phase == "CN":
-                            y_values = cn.forward(images[idx], train=True)
-                            a = (unit if cached is None
-                                 else AttentionMap(cached[idx]))
-                        else:
-                            y_values = cn.forward(images[idx], train=True)
-                            a = AttentionMap(va.forward(images[idx], train=True))
-                        score = aggregate_scores(modulate(y_values, a))
-                        loss = cross_entropy(score.y_hat, labels[idx])
-                        loss.backward(seed=1.0 / len(batch))
-                        batch_loss += loss.item() / len(batch)
-                    sgd_step(params, {k: p.grad for k, p in params.items()}, opt)
-                    batch_losses.append(batch_loss)
-            except FloatingPointError as exc:
-                _restore([cn, va], good)
-                raise DivergenceError(
-                    f"{phase} phase diverged at epoch {epoch}: {exc}", log) from exc
-            mean_loss = float(np.mean(batch_losses))
-            if not np.isfinite(mean_loss):
-                _restore([cn, va], good)
-                raise DivergenceError(f"{phase} phase diverged at epoch {epoch}",
-                                      log)
-            val_acc = _validation_accuracy(cn, va, val_images, val_labels,
-                                           config.ablation)
-            log.add(epoch=epoch, phase=phase, mean_loss=mean_loss,
-                    val_image_accuracy=val_acc, learning_rate=opt.learning_rate,
-                    wall_time=time.perf_counter() - t0)
-            epoch += 1
-            epoch_losses.append(mean_loss)
+        epoch, epoch_losses = _run_epochs(
+            config, data, log, phase=phase, nets=trainable, params=params,
+            image_loss=_phase_loss(phase, cn, attention, data),
+            batch_size=(config.cn_batch_size if phase == "CN"
+                        else config.va_batch_size),
+            n_epochs=config.phase_epochs, epoch=epoch,
+            lr_origin=alternation_start, cn=cn, va=attention)
 
         phase_loss = float(np.mean(epoch_losses))
         if on_phase_end is not None:
@@ -523,11 +490,13 @@ def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
     Image-wise accuracy runs the full model at its training resolution.
     When samples carry masks, pixel-wise accuracy runs the color branch
     alone at native image size (reusing the first map when the image
-    already is at training resolution), and attention localization is
-    reported against the ground-truth masks.
+    already is at training resolution), and, when the model has an
+    attention branch, attention localization is reported against the
+    ground-truth masks.
     """
     if not samples:
         raise ValueError("evaluate_model: empty sample list")
+    va = attention_branch(va, ablation)
     labels = [s.label for s in samples]
     images = _prepare_images(samples, resolution)
     scores: list[ImageScore] = []
@@ -535,13 +504,8 @@ def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
     pixel_accs: list[float] = []
     with no_grad():
         for sample, img in zip(samples, images):
-            y = cn_forward(cn, img)
-            if ablation == "no-attention" or va is None:
-                scores.append(aggregate_scores(y.values))
-                attention = None
-            else:
-                attention = AttentionMap(va.forward(img))
-                scores.append(aggregate_scores(modulate(y.values, attention)))
+            y, attention, score = full_forward(cn, va, img)
+            scores.append(score)
             if isinstance(sample, EvalSample):
                 native = (y if sample.image.shape[:2] == img.shape[:2]
                           else cn_forward(cn, sample.image.astype(TRAIN_DTYPE)))
@@ -647,10 +611,9 @@ def _model_records(cn: CnNet, va: VaNet) -> dict[str, np.ndarray]:
 
 
 def save_model(path, cn: CnNet, va: VaNet, cfg: RunConfig,
-               opt_state: OptimizerState | None = None,
                counters: dict | None = None) -> None:
-    """Write a checkpoint: vocabulary header, config text, parameters,
-    batchnorm statistics, and optimizer state.
+    """Write a checkpoint: vocabulary header, config text (with the
+    resume ``counters``), parameters and batchnorm statistics.
 
     The output directory is a run-local knob, not part of the model's
     identity, so it is dropped from the embedded config: training the
@@ -661,15 +624,8 @@ def save_model(path, cn: CnNet, va: VaNet, cfg: RunConfig,
                           if not line.startswith("out_dir"))
     for key, value in (counters or {}).items():
         config_text += f"resume.{key} = {value}\n"
-    optimizer: dict[str, np.ndarray] = {}
-    if opt_state is not None:
-        optimizer["optimizer/learning_rate"] = np.asarray(
-            [opt_state.learning_rate])
-        optimizer["optimizer/momentum"] = np.asarray([opt_state.momentum])
-        for name, v in opt_state.velocities.items():
-            optimizer[f"velocity/{name}"] = v
     write_checkpoint(path, cfg.vocab().names, config_text,
-                     _model_records(cn, va), optimizer)
+                     _model_records(cn, va))
 
 
 def load_model(path) -> tuple[CnNet, VaNet, RunConfig, dict]:
@@ -679,7 +635,8 @@ def load_model(path) -> tuple[CnNet, VaNet, RunConfig, dict]:
     The networks are built straight from the checkpoint's records: each
     parameter and statistic is one float32 copy of its record, and
     nothing is drawn at random. A missing record or a wrong shape raises
-    :class:`ConfigError`; records the networks do not use are ignored.
+    :class:`ConfigError`; records the networks do not use are ignored,
+    as is the optimizer section older files carry.
     """
     ckpt = read_checkpoint(path)
     counters: dict[str, str] = {}

@@ -18,8 +18,7 @@ import pytest
 from chroma.cli import EXIT_OK, main
 from chroma.config import parse_kv_text
 from chroma.gradcheck import run_suite
-from chroma.modulation import AttentionMap, SpatialPrior, aggregate_scores, \
-    modulate
+from chroma.modulation import AttentionMap, aggregate_scores, modulate
 from chroma.networks import ColorNameMap, masked_nll_loss
 from chroma.tensor import Tensor, conv2d, channel_softmax, deconv2d, maxpool2d, \
     tensor_sum
@@ -281,7 +280,7 @@ class TestCriterion9SpatialPrior:
     def test_learned_prior_centers_and_no_prior_hurts_off_center(
             self, default_run, tmp_path_factory):
         cn, va, cfg, _ = load_model(default_run["out"] / "final.ckpt")
-        kernel = va.prior.kernel.data.astype(np.float64)
+        kernel = va.parameters()["prior.kernel"].data.astype(np.float64)
         weights = np.maximum(kernel, 0.0)
         total = weights.sum()
         k = kernel.shape[0]

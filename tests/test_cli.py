@@ -142,6 +142,22 @@ class TestTrainCommand:
         cfg.write_text("out_dir = x\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("learning_rate", "0", "learning_rate must be positive"),
+        ("learning_rate", "-0.5", "learning_rate must be positive"),
+        ("momentum", "1.0", "momentum must lie in [0, 1)"),
+        ("momentum", "1.5", "momentum must lie in [0, 1)"),
+        ("momentum", "-0.1", "momentum must lie in [0, 1)"),
+    ])
+    def test_bad_optimizer_settings_are_exit_4(self, synthed, capsys, key,
+                                               value, message):
+        tmp_path, _ = synthed
+        cfg = _write_cfg(tmp_path, **{key: value})
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_smoke_run_completes_within_a_minute(self, tmp_path):
         import time
         cfg = _write_cfg(tmp_path, n_per_class=8)
@@ -285,6 +301,8 @@ class TestCorruptCheckpoint:
         ("cn.trunk.conv.w", None, "missing parameter cn.trunk.conv.w"),
         ("va.fc1.b", np.zeros(3, dtype=np.float32),
          "parameter va.fc1.b has shape (3,), expected (24,)"),
+        ("va.prior.kernel", np.zeros((3, 3), dtype=np.float32),
+         "parameter va.prior.kernel has shape (3, 3), expected (4, 4)"),
         ("va.stat.enc0.bn.var", None, "missing statistics for va.enc0.bn"),
     ])
     def test_records_not_matching_the_networks_are_exit_4(
@@ -297,20 +315,57 @@ class TestCorruptCheckpoint:
             del records[key]
         else:
             records[key] = value
-        write_checkpoint(path, ckpt.vocabulary, ckpt.config_text, records,
-                         ckpt.optimizer)
+        write_checkpoint(path, ckpt.vocabulary, ckpt.config_text, records)
         assert self._infer(tmp_path, path, image) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+
+def test_checkpoint_with_optimizer_records_loads_and_infers(tmp_path,
+                                                            fresh_checkpoint):
+    # files from older writers carry the learning rate and momentum in
+    # the optimizer section; it is read and ignored
+    from test_checkpoint import with_optimizer_section
+
+    from chroma.networks import full_forward
+    from chroma.tensor import no_grad
+    from chroma.training import load_model
+    path, image = fresh_checkpoint
+    legacy = tmp_path / "legacy.ckpt"
+    legacy.write_bytes(with_optimizer_section(path.read_bytes()))
+    outputs = []
+    for ckpt in (path, legacy):
+        cn, va, _, _ = load_model(ckpt)
+        with no_grad():
+            y, a, score = full_forward(cn, va, read_ppm(image).astype(np.float32))
+        outputs.append((y.values.data.tobytes(), a.values.data.tobytes(),
+                        score.y_hat.data.tobytes()))
+        out = tmp_path / f"inf-{ckpt.stem}"
+        assert main(["infer", str(image), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == EXIT_OK
+    assert outputs[0] == outputs[1]
+    for name in ("prediction.txt", "attention.ppm", "color_names.ppm"):
+        assert (tmp_path / "inf-fresh" / name).read_bytes() == \
+            (tmp_path / "inf-legacy" / name).read_bytes(), name
 
 
 class TestGradcheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["gradcheck"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "all 25 gradient checks passed" in out
+        assert "all 24 gradient checks passed" in out
 
     def test_corrupted_modulation_backward_is_caught(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHROMA_TEST_CORRUPT_MODULATE", "1")
+        # negative control: a modulate whose backward rule is wrong
+        import chroma.gradcheck
+        from chroma.modulation import modulate
+
+        def corrupted(y, attention):
+            out = modulate(y, attention)
+            right = out._backward_fn
+            out._backward_fn = lambda g: right(g + 1.0)
+            return out
+
+        monkeypatch.setattr(chroma.gradcheck, "modulate", corrupted)
         assert main(["gradcheck"]) == EXIT_CHECK_FAILURE
         out = capsys.readouterr().out
         assert "modulate" in out and "FAIL" in out

@@ -1,17 +1,14 @@
-"""Modulation layer, spatial prior, and score aggregation contracts,
-including the literal backward-rule identities."""
+"""Modulation layer, the spatial prior's initial kernel, and score
+aggregation contracts, including the literal backward-rule identities."""
 
 import numpy as np
 import pytest
 
-import chroma.modulation as modulation
 from chroma.modulation import (
     AttentionMap,
-    SpatialPrior,
     aggregate_scores,
     gaussian_kernel,
     modulate,
-    spatial_prior_forward,
 )
 from chroma.tensor import (
     Tensor,
@@ -82,45 +79,13 @@ class TestModulate:
         out._backward_fn(g)
         assert np.allclose(a.values.grad, (g * y.data).sum(axis=2))
 
-    def test_corruption_hook_breaks_gradients(self):
-        rng = np.random.default_rng(5)
-        y = Tensor(rng.uniform(0.1, 1.0, size=(3, 3, 2)), requires_grad=True)
-        a = _attention(rng.uniform(0.1, 1.0, size=(3, 3)))
-        modulation._corrupt_backward = True
-        try:
-            err = finite_diff_check(lambda: tensor_sum(modulate(y, a)), y)
-        finally:
-            modulation._corrupt_backward = False
-        assert err > 1e-2
+    def test_zero_attention_zeroes_every_channel(self):
+        feats = Tensor(np.random.default_rng(6).normal(size=(4, 4, 5)))
+        out = modulate(feats, _attention(np.zeros((4, 4))))
+        assert np.array_equal(out.data, np.zeros((4, 4, 5)))
 
 
 class TestSpatialPrior:
-    def test_forward_reproduces_kernel(self):
-        prior = SpatialPrior(8)
-        out = spatial_prior_forward(prior, stride=4)
-        assert out.shape == (8, 8)
-        assert np.array_equal(out.data, prior.kernel.data)
-
-    def test_zero_kernel_zeroes_modulated_features(self):
-        prior = SpatialPrior(4)
-        prior.kernel.data[...] = 0.0
-        field = spatial_prior_forward(prior, stride=2)
-        feats = Tensor(np.random.default_rng(6).normal(size=(4, 4, 5)))
-        out = modulate(feats, AttentionMap(field))
-        assert np.array_equal(out.data, np.zeros((4, 4, 5)))
-
-    def test_gradient_reaches_kernel_not_unit_input(self):
-        prior = SpatialPrior(3)
-        field = spatial_prior_forward(prior, stride=1)
-        tensor_sum(field).backward()
-        assert np.array_equal(prior.kernel.grad, np.ones((3, 3)))
-        assert prior.unit_input.grad is None
-
-    def test_bottleneck_size_mismatch_rejected(self):
-        prior = SpatialPrior(8)
-        with pytest.raises(ShapeError, match="bottleneck"):
-            spatial_prior_forward(prior, stride=4, expected_hw=(6, 6))
-
     def test_gaussian_init_peaks_at_center(self):
         kern = gaussian_kernel(9, 9 / 4.0)
         assert kern[4, 4] == 1.0

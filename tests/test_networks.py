@@ -12,7 +12,6 @@ from chroma.networks import (
     cn_forward,
     full_forward,
     masked_nll_loss,
-    va_forward,
 )
 from chroma.tensor import (
     ShapeError,
@@ -20,6 +19,7 @@ from chroma.tensor import (
     cross_entropy,
     finite_diff_check,
     no_grad,
+    tensor_sum,
 )
 
 
@@ -126,9 +126,9 @@ class TestVaForward:
         rng = np.random.default_rng(9)
         net = VaNet(resolution=16, stages=2, channels=(4, 6), fc_width=32,
                     bottleneck_channels=2, dec_channels=(4, 3), seed=6)
-        a = va_forward(net, _image(rng, 16, 16))
-        assert a.values.shape == (16, 16)
-        assert (a.values.data >= 0).all()
+        a = net.forward(_image(rng, 16, 16))
+        assert a.shape == (16, 16)
+        assert (a.data >= 0).all()
 
     def test_zero_head_gives_zero_attention_and_uniform_score(self):
         rng = np.random.default_rng(10)
@@ -146,10 +146,41 @@ class TestVaForward:
         net = VaNet(resolution=8, stages=1, channels=(4,), fc_width=16,
                     bottleneck_channels=2, dec_channels=(3,), seed=9)
         a = net.forward(_image(rng, 8, 8), train=True)
-        from chroma.tensor import tensor_sum
         tensor_sum(a).backward()
         for name, p in net.parameters().items():
             assert p.grad is not None, name
+
+    def test_prior_kernel_gradient_matches_finite_differences(self):
+        # the prior modulates the bottleneck directly: its kernel is a
+        # parameter with a gradient of its own
+        rng = np.random.default_rng(12)
+        net = VaNet(resolution=8, stages=1, channels=(4,), fc_width=16,
+                    bottleneck_channels=2, dec_channels=(3,), seed=9)
+        net.parameters()["head.conv.b"].data[...] = 0.3
+        image = _image(rng, 8, 8)
+        weights = Tensor(rng.uniform(size=(8, 8, 1)))
+        kernel = net.parameters()["prior.kernel"]
+
+        def loss():
+            return tensor_sum(modulate(weights, AttentionMap(net.forward(image))))
+
+        net.set_trainable(True)
+        loss().backward()
+        assert kernel.grad.shape == (4, 4) and kernel.grad.any()
+        assert finite_diff_check(loss, kernel) < 1e-4
+
+    def test_zero_prior_kernel_makes_the_map_ignore_the_image(self):
+        rng = np.random.default_rng(13)
+        net = VaNet(resolution=8, stages=1, channels=(4,), fc_width=16,
+                    bottleneck_channels=2, dec_channels=(3,), seed=9)
+        net.parameters()["head.conv.b"].data[...] = 0.3
+        a = net.forward(_image(rng, 8, 8)).data
+        b = net.forward(_image(rng, 8, 8)).data
+        assert not np.array_equal(a, b)
+        net.parameters()["prior.kernel"].data[...] = 0.0
+        a = net.forward(_image(rng, 8, 8)).data
+        b = net.forward(_image(rng, 8, 8)).data
+        assert np.array_equal(a, b)
 
     def test_wrong_resolution_rejected(self):
         net = VaNet(resolution=16, stages=2, channels=(4, 6), fc_width=32,
@@ -180,6 +211,17 @@ class TestFullForward:
         via_modulation = aggregate_scores(modulate(y.values, unit))
         direct = aggregate_scores(y.values)
         assert np.array_equal(via_modulation.y_hat.data, direct.y_hat.data)
+
+    def test_without_attention_branch_pools_the_unmodulated_map(self):
+        rng = np.random.default_rng(14)
+        cn, _ = self._nets()
+        image = _image(rng, 16, 16).astype(np.float32)
+        y_map, attention, score = full_forward(cn, None, image)
+        assert attention is None
+        assert score.y_hat.data.tobytes() == \
+            aggregate_scores(cn_forward(cn, image).values).y_hat.data.tobytes()
+        assert y_map.values.data.tobytes() == \
+            cn_forward(cn, image).values.data.tobytes()
 
     def test_one_hot_map_with_positive_attention_wins(self):
         rng = np.random.default_rng(15)

@@ -12,7 +12,6 @@ from chroma.tensor import Tensor, cross_entropy, no_grad
 from chroma.training import (
     DivergenceError,
     LocalizationStats,
-    TrainConfig,
     alternating_train,
     attention_localization,
     build_networks,
@@ -59,12 +58,11 @@ class TestLrSchedule:
         cfg = _tiny_run_config(pretrain_epochs=3, lr_decay_epochs=2)
         weak, _ = _tiny_dataset(cfg)
         cn, _ = build_networks(cfg, len(cfg.vocab()))
-        tc = TrainConfig.from_run_config(cfg)
-        log, next_epoch = pretrain_cn(cn, weak["train"], tc,
+        log, next_epoch = pretrain_cn(cn, weak["train"], cfg,
                                       resolution=cfg.resolution)
         assert next_epoch == 3
         for rec in log.records:
-            want = lr_at_epoch(tc.learning_rate, rec.epoch, tc.lr_decay_epochs)
+            want = lr_at_epoch(cfg.learning_rate, rec.epoch, cfg.lr_decay_epochs)
             assert rec.learning_rate == want
 
 
@@ -73,9 +71,8 @@ class TestPretrain:
         cfg = _tiny_run_config(pretrain_epochs=12, n_per_class=6, seed=5)
         weak, _ = _tiny_dataset(cfg, single_class=True)
         cn, _ = build_networks(cfg, len(cfg.vocab()))
-        tc = TrainConfig.from_run_config(cfg)
-        tc.cn_batch_size = min(tc.cn_batch_size, len(weak["train"]))
-        log, _ = pretrain_cn(cn, weak["train"], tc, resolution=cfg.resolution)
+        cfg.cn_batch_size = min(cfg.cn_batch_size, len(weak["train"]))
+        log, _ = pretrain_cn(cn, weak["train"], cfg, resolution=cfg.resolution)
         assert log.records[-1].mean_loss < 0.1
         from chroma.saliency import binarize, compute_saliency
         sample = weak["train"][0]
@@ -93,8 +90,7 @@ class TestPretrain:
         synth = cfg.synth_config()
         weak, test = synth_generate(synth, cfg.n_per_class)
         cn, _ = build_networks(cfg, len(cfg.vocab()))
-        tc = TrainConfig.from_run_config(cfg)
-        pretrain_cn(cn, weak["train"], tc, resolution=cfg.resolution)
+        pretrain_cn(cn, weak["train"], cfg, resolution=cfg.resolution)
         accs, centers_ok = [], 0
         with no_grad():
             for s in test:
@@ -111,11 +107,10 @@ class TestPretrain:
     def test_rerun_with_same_seed_is_bit_identical(self):
         cfg = _tiny_run_config()
         weak, _ = _tiny_dataset(cfg)
-        tc = TrainConfig.from_run_config(cfg)
         logs = []
         for _ in range(2):
             cn, _ = build_networks(cfg, len(cfg.vocab()))
-            log, _ = pretrain_cn(cn, weak["train"], tc,
+            log, _ = pretrain_cn(cn, weak["train"], cfg,
                                  resolution=cfg.resolution)
             logs.append(log)
         # EpochRecord equality ignores wall time by construction
@@ -126,7 +121,7 @@ class TestPretrain:
         weak, _ = _tiny_dataset(cfg)
         cn, _ = build_networks(cfg, len(cfg.vocab()))
         log, _ = pretrain_cn(cn, weak["train"],
-                             TrainConfig.from_run_config(cfg),
+                             cfg,
                              resolution=cfg.resolution)
         assert log.phases_seen() == ["PRETRAIN"]
 
@@ -135,7 +130,7 @@ class TestPretrain:
         weak, _ = _tiny_dataset(cfg)
         cn, _ = build_networks(cfg, len(cfg.vocab()))
         with pytest.raises(ConfigError, match="batch"):
-            pretrain_cn(cn, weak["train"], TrainConfig.from_run_config(cfg),
+            pretrain_cn(cn, weak["train"], cfg,
                         resolution=cfg.resolution)
 
     def test_divergence_restores_last_good_state(self, monkeypatch):
@@ -157,7 +152,7 @@ class TestPretrain:
 
         monkeypatch.setattr(training_mod, "masked_nll_loss", poisoned)
         with pytest.raises(DivergenceError) as excinfo:
-            pretrain_cn(cn, weak["train"], TrainConfig.from_run_config(cfg),
+            pretrain_cn(cn, weak["train"], cfg,
                         resolution=cfg.resolution)
         assert len(excinfo.value.log.records) == 1  # first epoch completed
         for p in cn.parameters().values():
@@ -169,8 +164,7 @@ class TestAlternatingTrain:
         cfg = _tiny_run_config(max_phases=10, convergence_tol=float("inf"))
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
-        tc = TrainConfig.from_run_config(cfg)
-        log, _ = alternating_train(cn, va, weak["train"], tc,
+        log, _ = alternating_train(cn, va, weak["train"], cfg,
                                    resolution=cfg.resolution)
         assert log.phases_seen() == ["VA", "CN"]
 
@@ -178,10 +172,9 @@ class TestAlternatingTrain:
         cfg = _tiny_run_config(max_phases=1)
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
-        tc = TrainConfig.from_run_config(cfg)
         cn_before = cn.state_digest()
         va_before = va.state_digest()
-        alternating_train(cn, va, weak["train"], tc, resolution=cfg.resolution)
+        alternating_train(cn, va, weak["train"], cfg, resolution=cfg.resolution)
         # first phase trains VA only: CN must be untouched, VA must move
         assert cn.state_digest() == cn_before
         assert va.state_digest() != va_before
@@ -190,13 +183,12 @@ class TestAlternatingTrain:
         cfg = _tiny_run_config(max_phases=2, convergence_tol=0.0)
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
-        tc = TrainConfig.from_run_config(cfg)
         digests = {}
 
         def on_phase_end(phase_idx, phase, loss, epoch):
             digests[phase_idx] = (phase, cn.state_digest(), va.state_digest())
 
-        alternating_train(cn, va, weak["train"], tc, resolution=cfg.resolution,
+        alternating_train(cn, va, weak["train"], cfg, resolution=cfg.resolution,
                           on_phase_end=on_phase_end)
         assert digests[0][0] == "VA" and digests[1][0] == "CN"
         # VA digest after its own phase must survive the CN phase untouched
@@ -211,7 +203,7 @@ class TestAlternatingTrain:
         cn, va = build_networks(cfg, len(cfg.vocab()))
         va_before = va.state_digest()
         log, _ = alternating_train(cn, va, weak["train"],
-                                   TrainConfig.from_run_config(cfg),
+                                   cfg,
                                    resolution=cfg.resolution)
         assert set(log.phases_seen()) == {"CN"}
         assert va.state_digest() == va_before
@@ -222,7 +214,7 @@ class TestAlternatingTrain:
         cn, va = build_networks(cfg, len(cfg.vocab()))
         cn_before, va_before = cn.state_digest(), va.state_digest()
         log, _ = alternating_train(cn, va, weak["train"],
-                                   TrainConfig.from_run_config(cfg),
+                                   cfg,
                                    resolution=cfg.resolution)
         assert set(log.phases_seen()) == {"JOINT"}
         assert cn.state_digest() != cn_before
@@ -233,10 +225,9 @@ class TestAlternatingTrain:
                                pretrain_epochs=3, lr_decay_epochs=2)
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
-        tc = TrainConfig.from_run_config(cfg)
-        log, next_epoch = pretrain_cn(cn, weak["train"], tc,
+        log, next_epoch = pretrain_cn(cn, weak["train"], cfg,
                                       resolution=cfg.resolution)
-        log, next_epoch = alternating_train(cn, va, weak["train"], tc,
+        log, next_epoch = alternating_train(cn, va, weak["train"], cfg,
                                             resolution=cfg.resolution, log=log,
                                             start_epoch=next_epoch)
         epochs = [r.epoch for r in log.records]
@@ -245,9 +236,9 @@ class TestAlternatingTrain:
             # the schedule counter is stage-local: pretraining counts
             # from zero, and one counter spans all alternation phases
             stage_epoch = (rec.epoch if rec.phase == "PRETRAIN"
-                           else rec.epoch - tc.pretrain_epochs)
+                           else rec.epoch - cfg.pretrain_epochs)
             assert rec.learning_rate == lr_at_epoch(
-                tc.learning_rate, stage_epoch, tc.lr_decay_epochs)
+                cfg.learning_rate, stage_epoch, cfg.lr_decay_epochs)
         phase_records = [r for r in log.records if r.phase != "PRETRAIN"]
         assert phase_records[2].learning_rate < phase_records[0].learning_rate
 
@@ -298,7 +289,7 @@ class TestAttentionScale:
         head.data[...] = np.random.default_rng(1).normal(
             scale=0.5, size=head.shape)
         alternating_train(cn, va, weak["train"],
-                          TrainConfig.from_run_config(cfg),
+                          cfg,
                           resolution=cfg.resolution)
         with no_grad():
             spreads = [float(va.forward(s.image.astype(np.float32)).data.std())
