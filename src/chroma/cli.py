@@ -41,7 +41,6 @@ from chroma.training import (
     DivergenceError,
     TrainLog,
     alternating_train,
-    attention_branch,
     build_networks,
     evaluate_model,
     load_model,
@@ -107,9 +106,14 @@ def cmd_synth(args) -> int:
     if cfg.n_per_class < 1:
         raise ConfigError("n_per_class must be at least 1")
     out = Path(cfg.out_dir)
-    weak, test = synth_generate(cfg.synth_config(), cfg.n_per_class)
+    synth = cfg.synth_config()
+    try:
+        synth.validate()
+    except ValueError as exc:  # the generator settings come from the config
+        raise ConfigError(str(exc)) from exc
+    weak, test = synth_generate(synth, cfg.n_per_class)
     out.mkdir(parents=True, exist_ok=True)
-    write_dataset(out, weak, test, cfg.synth_config())
+    write_dataset(out, weak, test, synth)
     vocab = cfg.vocab()
     print(f"wrote synthetic dataset to {out}")
     for split, samples in (("train", weak["train"]), ("val", weak["val"]),
@@ -160,8 +164,7 @@ def cmd_train(args) -> int:
     try:
         if not pretrained:
             log, start_epoch = pretrain_cn(
-                cn, splits["train"], cfg, val_samples=splits["val"],
-                resolution=cfg.resolution, log=log)
+                cn, splits["train"], cfg, val_samples=splits["val"], log=log)
             save_model(out / "pretrain.ckpt", cn, va, cfg,
                        _train_counters("pretrained", 0, start_epoch,
                                        float("nan")))
@@ -175,7 +178,7 @@ def cmd_train(args) -> int:
 
         log, end_epoch = alternating_train(
             cn, va, splits["train"], cfg, val_samples=splits["val"],
-            resolution=cfg.resolution, log=log, start_epoch=start_epoch,
+            log=log, start_epoch=start_epoch,
             start_phase=start_phase, prev_phase_loss=last_loss,
             on_phase_end=on_phase_end)
     except DivergenceError as exc:
@@ -210,8 +213,7 @@ def cmd_eval(args) -> int:
         samples = load_weak_dataset(root, vocab)["test"]
     if not samples:
         raise ConfigError(f"no test images under {root}")
-    metrics = evaluate_model(cn, va, samples, ckpt_cfg.resolution,
-                             ablation=ckpt_cfg.ablation)
+    metrics = evaluate_model(cn, va, samples, ckpt_cfg.resolution)
     out = Path(getattr(args, "out", None) or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     text = format_kv({k: repr(v) if isinstance(v, float) else v
@@ -232,8 +234,7 @@ def cmd_infer(args) -> int:
         image = np.clip(resize_bilinear(image, res, res), 0.0, 1.0)
     image = image.astype(np.float32)
     with no_grad():
-        y, attention, score = full_forward(
-            cn, attention_branch(va, cfg.ablation), image)
+        y, attention, score = full_forward(cn, va, image)
     attention_values = (np.ones((res, res)) if attention is None
                         else attention.values.data)
     out = Path(getattr(args, "out", None) or cfg.out_dir)
@@ -280,19 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
         if checkpoint:
             p.add_argument("--checkpoint", help="checkpoint file")
         p.add_argument("--out", help="output directory")
+
+    synth = sub.add_parser("synth", help="generate a synthetic dataset")
+    add_common(synth)
+    synth.set_defaults(func=cmd_synth)
+
+    train = sub.add_parser("train", help="pretrain and alternately train")
+    add_common(train, checkpoint=True)
+    train.set_defaults(func=cmd_train)
+
+    # eval and infer take the model, its seed and ablation included, from
+    # the checkpoint
+    for p in (synth, train):
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--ablation",
-                       choices=["none", "no-attention", "no-prior",
-                                "no-alternation"],
+        p.add_argument("--ablation", choices=RunConfig.ABLATIONS,
                        help="ablation switch")
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="pretrain and alternately train")
-    add_common(p, checkpoint=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     add_common(p, checkpoint=True)

@@ -8,6 +8,7 @@ rebuilt without the original config file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -115,6 +116,15 @@ class RunConfig:
         if self.ablation not in self.ABLATIONS:
             raise ConfigError(f"ablation must be one of {self.ABLATIONS}, got "
                               f"{self.ablation!r}")
+        for f in fields(self):
+            if f.type != "float":
+                continue
+            value = getattr(self, f.name)
+            if math.isnan(value):
+                raise ConfigError(f"{f.name} must be a number, got nan")
+            # an infinite tolerance means "stop at the first comparison"
+            if math.isinf(value) and f.name != "convergence_tol":
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
         if not 0 <= self.momentum < 1:
@@ -127,6 +137,11 @@ class RunConfig:
                      "va_bottleneck_channels", "image_size", "lr_decay_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        # VaNet's va_stages ceil-mode halvings must leave a grid of at
+        # least 2x2, i.e. resolution > 2**va_stages
+        if (self.resolution - 1) >> self.va_stages == 0:
+            raise ConfigError(f"resolution {self.resolution} must exceed "
+                              f"2**va_stages = 2**{self.va_stages}")
         if len(self._int_list(self.va_channels)) != self.va_stages:
             raise ConfigError("va_channels must list one width per stage")
         if len(self._int_list(self.va_dec_channels)) != self.va_stages:

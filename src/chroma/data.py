@@ -39,6 +39,19 @@ __all__ = [
 
 SPLITS = ("train", "val", "test")
 
+# Backgrounds and clutter are drawn from these grays and muted tints. A
+# vocabulary with an anchor closer than BACKGROUND_MARGIN (RGB distance
+# in [0, 1] units) to one of them is rejected, so no background pixel
+# looks like a class color.
+BACKGROUND_PALETTE = (
+    (64, 64, 64), (112, 112, 112), (160, 160, 160),
+    (88, 100, 112), (112, 100, 88), (96, 112, 96),
+)
+BACKGROUND_MARGIN = 0.25
+# distractors are kept smaller than principals so the bootstrap saliency
+# mask is dominated by correctly labeled pixels
+DISTRACTOR_SCALE_RANGE = (0.12, 0.22)
+
 
 @dataclass
 class WeakSample:
@@ -78,26 +91,17 @@ class SynthConfig:
     image_size: int = 64
     shapes: tuple[str, ...] = ("rectangle", "ellipse")
     scale_range: tuple[float, float] = (0.25, 0.45)
-    # distractors are kept smaller than principals so the bootstrap
-    # saliency mask is dominated by correctly labeled pixels
-    distractor_scale_range: tuple[float, float] = (0.12, 0.22)
     jitter_sigma: float = 0.02
     center_sigma: float = 0.15
-    background_palette: tuple[tuple[int, int, int], ...] = (
-        (64, 64, 64), (112, 112, 112), (160, 160, 160),
-        (88, 100, 112), (112, 100, 88), (96, 112, 96),
-    )
-    background_margin: float = 0.25
     clutter_patches: int = 8
     distractors: int = 0
 
     def validate(self) -> None:
         if self.image_size < 8:
             raise ValueError("image_size must be at least 8")
-        for rng_name in ("scale_range", "distractor_scale_range"):
-            lo, hi = getattr(self, rng_name)
-            if not 0.05 <= lo <= hi <= 0.9:
-                raise ValueError(f"{rng_name} {(lo, hi)} out of bounds")
+        lo, hi = self.scale_range
+        if not 0.05 <= lo <= hi <= 0.9:
+            raise ValueError(f"scale_range {(lo, hi)} out of bounds")
         if self.jitter_sigma < 0 or self.center_sigma < 0:
             raise ValueError("sigmas must be non-negative")
         if not self.shapes or any(s not in ("rectangle", "ellipse")
@@ -110,13 +114,13 @@ class SynthConfig:
                 f"classification needs min pairwise anchor distance "
                 f"({min_dist:.3f}) > 6*sigma ({6 * self.jitter_sigma:.3f})")
         anchors = self.vocabulary.anchor_floats()
-        for rgb in self.background_palette:
+        for rgb in BACKGROUND_PALETTE:
             col = np.asarray(rgb, dtype=np.float64) / 255.0
             d = np.sqrt(((anchors - col) ** 2).sum(axis=1)).min()
-            if d < self.background_margin:
+            if d < BACKGROUND_MARGIN:
                 raise ValueError(
                     f"background color {rgb} lies within {d:.3f} of a class "
-                    f"anchor (margin {self.background_margin})")
+                    f"anchor (margin {BACKGROUND_MARGIN})")
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +161,12 @@ def load_weak_dataset(root, vocabulary: ColorVocabulary) -> dict[str, list[WeakS
     return splits
 
 
-def load_eval_dataset(root, vocabulary: ColorVocabulary,
-                      split: str = "test") -> list[EvalSample]:
-    """Load masked evaluation samples; every image needs ``<id>.mask.pgm``."""
+def load_eval_dataset(root, vocabulary: ColorVocabulary) -> list[EvalSample]:
+    """Load the masked ``test`` split; every image needs ``<id>.mask.pgm``."""
     root = Path(root)
-    split_dir = root / split
+    split_dir = root / "test"
     if not split_dir.is_dir():
-        raise FileNotFoundError(f"no {split!r} split under {root}")
+        raise FileNotFoundError(f"no 'test' split under {root}")
     samples: list[EvalSample] = []
     for name, class_dir in _class_dirs(split_dir, vocabulary):
         label = vocabulary.index(name)
@@ -209,7 +212,7 @@ def _object_geometry(rng: np.random.Generator, cfg: SynthConfig,
                      off_center: bool) -> tuple[str, float, float, float, float]:
     size = cfg.image_size
     shape = cfg.shapes[int(rng.integers(len(cfg.shapes)))]
-    lo, hi = cfg.distractor_scale_range if off_center else cfg.scale_range
+    lo, hi = DISTRACTOR_SCALE_RANGE if off_center else cfg.scale_range
     hx = rng.uniform(lo, hi) * size / 2.0
     hy = rng.uniform(lo, hi) * size / 2.0
     if off_center:
@@ -235,7 +238,7 @@ def _render_sample(rng: np.random.Generator, cfg: SynthConfig,
                    label: int) -> tuple[np.ndarray, np.ndarray]:
     size = cfg.image_size
     anchors = cfg.vocabulary.anchor_floats()
-    palette = np.asarray(cfg.background_palette, dtype=np.float64) / 255.0
+    palette = np.asarray(BACKGROUND_PALETTE, dtype=np.float64) / 255.0
 
     image = np.empty((size, size, 3), dtype=np.float64)
     image[...] = palette[int(rng.integers(len(palette)))]

@@ -8,6 +8,7 @@ values are multiples of 1/255 round-trips bit-exactly.
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ __all__ = ["read_ppm", "write_ppm", "read_pgm", "write_pgm"]
 
 
 def _read_header(f: io.BufferedReader, magic: bytes, path) -> tuple[int, int]:
+    """Parse the header up to the pixel data; the size it declares must
+    fit in the bytes left in the file."""
     if f.read(2) != magic:
         raise ValueError(f"{path}: not a {magic.decode()} file")
     fields = []
@@ -39,6 +42,11 @@ def _read_header(f: io.BufferedReader, magic: bytes, path) -> tuple[int, int]:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     if width < 1 or height < 1:
         raise ValueError(f"{path}: invalid size {width}x{height}")
+    # the one whitespace byte after maxval has been read
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if width * height * (3 if magic == b"P6" else 1) > left:
+        raise ValueError(f"{path}: truncated pixel data for a {width}x{height} "
+                         f"image ({left} bytes left)")
     return width, height
 
 
@@ -48,8 +56,6 @@ def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         width, height = _read_header(f, b"P6", path)
         raw = f.read(width * height * 3)
-    if len(raw) != width * height * 3:
-        raise ValueError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
     return pixels.astype(np.float64) / 255.0
 
@@ -73,8 +79,6 @@ def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as f:
         width, height = _read_header(f, b"P5", path)
         raw = f.read(width * height)
-    if len(raw) != width * height:
-        raise ValueError(f"{path}: truncated pixel data")
     return np.frombuffer(raw, dtype=np.uint8).reshape(height, width).copy()
 
 

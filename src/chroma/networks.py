@@ -4,9 +4,9 @@ The color-naming branch (CnNet) is a shallow fully convolutional
 network: a 1x1 conv trunk, 3x3/2 max pool, 3x3/2 transposed conv back to
 input size, a 1x1 skip branch on the raw input, channel concatenation,
 a 1x1 classifier and a per-pixel softmax. At 227x227 the pool/upsample
-arithmetic is exact (227 -> 113 -> 227); for other sizes the pool runs
-in ceil mode and the upsampled map is cropped back to the input size,
-so any input of at least 3x3 works.
+arithmetic is exact (227 -> 113 -> 227); for other sizes the ceil-mode
+pool covers the edge and the upsampled map is cropped back to the input
+size, so any input of at least 3x3 works.
 
 The attention branch (VaNet) is a desk-scale encoder/decoder standing in
 for a pretrained segmentation backbone, with the same structural slots:
@@ -233,7 +233,7 @@ class CnNet(_ParamStore):
 
         t = conv2d(x, p["trunk.conv.w"], p["trunk.conv.b"])
         t = relu(batchnorm(t, *self.trunk_bn, mode=mode))
-        t = maxpool2d(t, 3, 2, ceil_mode=True)
+        t = maxpool2d(t, 3, 2)
         t = deconv2d(t, p["up.deconv.w"], stride=2)
         t = relu(batchnorm(t, *self.up_bn, mode=mode))
         if t.shape[:2] != (h, w):
@@ -336,7 +336,7 @@ class VaNet(_ParamStore):
         for i in range(self.stages):
             h = conv2d(h, p[f"enc{i}.conv.w"], p[f"enc{i}.conv.b"], padding=1)
             h = relu(batchnorm(h, *self.enc_bns[i], mode=mode))
-            h = maxpool2d(h, 2, 2, ceil_mode=True)
+            h = maxpool2d(h, 2, 2)
         g = self.grid
         flat = reshape(h, (g * g * self.channels[-1],))
         z = relu(fully_connected(flat, p["fc1.w"], p["fc1.b"]))

@@ -47,25 +47,15 @@ def compute_saliency(image: np.ndarray) -> np.ndarray:
     return (contrast - lo) / (hi - lo)
 
 
-def binarize(field: np.ndarray, method: str = "mean",
-             threshold: float | None = None) -> np.ndarray:
-    """Threshold a [0, 1] field into a {0, 1} uint8 mask.
+def binarize(field: np.ndarray) -> np.ndarray:
+    """Threshold a [0, 1] field at its mean value into a {0, 1} uint8 mask.
 
-    ``mean`` thresholds at the field's mean value; ``fixed`` uses the
-    given threshold in (0, 1). A constant field binarizes to all zeros
-    (a normalized constant field carries no contrast information).
+    A constant field binarizes to all zeros (a normalized constant field
+    carries no contrast information).
     """
     field = np.asarray(field, dtype=np.float64)
     if field.ndim != 2:
         raise ValueError(f"binarize expects [H,W], got {field.shape}")
-    if method == "mean":
-        t = float(field.mean())
-    elif method == "fixed":
-        if threshold is None or not 0.0 < threshold < 1.0:
-            raise ValueError("fixed binarization needs a threshold in (0, 1)")
-        t = float(threshold)
-    else:
-        raise ValueError(f"unknown binarization method {method!r}")
     if field.max() - field.min() <= 1e-12:
         return np.zeros(field.shape, dtype=np.uint8)
-    return (field >= t).astype(np.uint8)
+    return (field >= float(field.mean())).astype(np.uint8)

@@ -354,13 +354,13 @@ def _ceil_windows(n: int, k: int, stride: int) -> int:
     return count - 1 if (count - 1) * stride >= n else count
 
 
-def maxpool2d(x: Tensor, k: int, stride: int, ceil_mode: bool = False) -> Tensor:
+def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     """Channel-wise max over kxk windows; ties go to the first row-major index.
 
-    ``ceil_mode`` pads the bottom/right edge (with -inf, never winning)
-    so that partially covered windows produce an output row/column; a
-    window that would start in the padding (possible when stride > k) is
-    dropped.
+    Windows are counted in ceil mode: the bottom/right edge is padded
+    (with -inf, never winning) so that partially covered windows produce
+    an output row/column; a window that would start in the padding
+    (possible when stride > k) is dropped.
 
     The forward pass keeps a running ``np.maximum`` over the k*k strided
     offset views, in row-major offset order. On a tie ``np.maximum``
@@ -378,15 +378,10 @@ def maxpool2d(x: Tensor, k: int, stride: int, ceil_mode: bool = False) -> Tensor
     h, w, c = x.shape
     if k > h or k > w:
         raise ShapeError(f"maxpool2d: window {k} larger than padded input {h}x{w}")
-    if ceil_mode:
-        oh = _ceil_windows(h, k, stride)
-        ow = _ceil_windows(w, k, stride)
-        ph = max(0, (oh - 1) * stride + k - h)
-        pw = max(0, (ow - 1) * stride + k - w)
-    else:
-        oh = (h - k) // stride + 1
-        ow = (w - k) // stride + 1
-        ph = pw = 0
+    oh = _ceil_windows(h, k, stride)
+    ow = _ceil_windows(w, k, stride)
+    ph = max(0, (oh - 1) * stride + k - h)
+    pw = max(0, (ow - 1) * stride + k - w)
     if ph or pw:
         padded = np.pad(x.data, ((0, ph), (0, pw), (0, 0)), constant_values=-np.inf)
     else:
@@ -456,47 +451,41 @@ class RunningStats:
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-              mode: str = "train") -> Tensor:
-    """Per-channel normalization over all non-channel axes.
+              mode: str) -> Tensor:
+    """Per-channel affine normalization by running statistics.
 
-    Train mode normalizes with the statistics of ``x`` and folds them
-    into ``stats`` with decay 0.9 (one update per forward pass); eval
-    mode normalizes with ``stats``. Biased variance is used throughout.
-
-    ``online`` mode normalizes with the running statistics (treated as
-    constants, pre-update) and then folds the tensor's own statistics
-    in. The networks train with this mode: their per-image forward
-    passes would otherwise normalize each image by itself, which both
-    discards absolute color information and leaves the running averages
-    unrepresentative of what training actually computed.
+    Both modes normalize with ``stats`` (constants to the backward
+    pass). ``eval`` leaves them unchanged; ``online`` then folds the
+    statistics of ``x`` over all non-channel axes (biased variance) into
+    ``stats`` with decay 0.9, one update per forward pass. The networks
+    train in ``online`` mode: normalizing each per-image forward pass by
+    its own statistics would both discard absolute color information and
+    leave the running averages unrepresentative of what training
+    actually computed.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm: gamma/beta must be ({c},), got "
                          f"{gamma.shape}/{beta.shape}")
-    if mode not in ("train", "eval", "online"):
-        raise ValueError(f"batchnorm: mode must be 'train', 'eval' or "
-                         f"'online', got {mode!r}")
+    if mode not in ("eval", "online"):
+        raise ValueError(f"batchnorm: mode must be 'eval' or 'online', "
+                         f"got {mode!r}")
     axes = tuple(range(x.data.ndim - 1))
-    n = int(np.prod([x.shape[a] for a in axes])) if axes else 1
 
-    if mode != "eval":
-        cur_mu = x.data.mean(axis=axes, keepdims=True)
-        cur_var = x.data.var(axis=axes, mean=cur_mu)
-        cur_mu = cur_mu.reshape(c)
-    if mode == "train":
-        mu, var = cur_mu, cur_var
-    else:  # the running statistics, before this pass updates them
-        mu = stats.mean.astype(x.dtype, copy=False)
-        var = stats.var.astype(x.dtype, copy=False)
+    # the running statistics, before this pass updates them
+    mu = stats.mean.astype(x.dtype, copy=False)
+    var = stats.var.astype(x.dtype, copy=False)
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat = x.data - mu
     xhat *= inv_std
     out = xhat * gamma.data
     out += beta.data
-    if mode != "eval":
-        # folded in only now: online mode has normalized by the old values
+    if mode == "online":
+        # folded in only now: the pass has normalized by the old values
+        cur_mu = x.data.mean(axis=axes, keepdims=True)
+        cur_var = x.data.var(axis=axes, mean=cur_mu)
+        cur_mu = cur_mu.reshape(c)
         stats.mean[...] = BN_STAT_DECAY * stats.mean + (1.0 - BN_STAT_DECAY) * cur_mu
         stats.var[...] = BN_STAT_DECAY * stats.var + (1.0 - BN_STAT_DECAY) * cur_var
     result = _make_node(out, "batchnorm", (x, gamma, beta))
@@ -509,14 +498,6 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
                 _accum(beta, g.sum(axis=axes))
             if x.requires_grad or x._parents:
                 dx = g * gamma.data
-                if mode == "train":
-                    # the batch statistics depend on x; eval and online
-                    # modes normalize by constants
-                    sum_dxhat = dx.sum(axis=axes)
-                    correction = xhat * (dx * xhat).sum(axis=axes)
-                    correction /= n
-                    dx -= sum_dxhat / n
-                    dx -= correction
                 dx *= inv_std
                 _accum(x, dx)
         result._backward_fn = _backward
@@ -719,9 +700,10 @@ class OptimizerState:
             raise ValueError("momentum must lie in [0, 1)")
 
 
-def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
-             state: OptimizerState) -> None:
-    """Apply one SGD update in place to every named parameter.
+def sgd_step(params: Mapping[str, Tensor], state: OptimizerState) -> None:
+    """Apply one SGD update in place to every named parameter, stepping
+    along its accumulated ``grad`` (a parameter without one steps along
+    zero).
 
     Every gradient is checked first: a shape mismatch raises
     ``ShapeError`` and a non-finite gradient raises ``FloatingPointError``
@@ -729,7 +711,7 @@ def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
     has changed.
     """
     for name, p in params.items():
-        g = grads.get(name)
+        g = p.grad
         if g is None:
             continue
         if g.shape != p.data.shape:
@@ -739,7 +721,7 @@ def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
             raise FloatingPointError(f"sgd_step: non-finite gradient for "
                                      f"parameter '{name}'")
     for name, p in params.items():
-        g = grads.get(name)
+        g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         if state.momentum > 0.0:

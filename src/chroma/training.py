@@ -37,11 +37,11 @@ phase. The learning-rate schedule ``base * 10**-(e // decay_epochs)``
 runs on one counter spanning all alternation phases (pretraining, a
 separate stage, has its own counter).
 
-Ablation switches: ``no-attention`` runs the model without an attention
-branch (see :func:`attention_branch`) and trains the color branch alone
-for the same epoch budget, ``no-prior`` builds the attention branch
-without the spatial prior, and ``no-alternation`` trains both branches
-jointly with nothing frozen.
+Ablation switches (see :func:`build_networks`): ``no-attention`` builds
+no attention branch and trains the color branch alone for the same
+epoch budget, ``no-prior`` builds the attention branch without the
+spatial prior, and ``no-alternation`` trains both branches jointly with
+nothing frozen.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ __all__ = [
     "TrainLog",
     "DivergenceError",
     "lr_at_epoch",
-    "attention_branch",
     "pretrain_cn",
     "alternating_train",
     "pixel_accuracy",
@@ -145,13 +144,6 @@ def lr_at_epoch(base_lr: float, epoch: int, decay_epochs: int = 20) -> float:
     return base_lr * 10.0 ** (-(epoch // decay_epochs))
 
 
-def attention_branch(va: VaNet | None, ablation: str) -> VaNet | None:
-    """The attention branch a model with this ablation runs: none under
-    ``no-attention``, whose networks still carry an untrained VaNet so
-    its checkpoints keep the same records."""
-    return None if ablation == "no-attention" else va
-
-
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(epoch,)))
@@ -213,16 +205,16 @@ class _StageData:
 
     @classmethod
     def prepare(cls, config: RunConfig, train_samples: list[WeakSample],
-                val_samples, resolution: int | None) -> "_StageData":
+                val_samples) -> "_StageData":
         n_train = len(train_samples)
         if n_train < 1:
             raise ConfigError("training split is empty")
         if config.cn_batch_size > n_train or config.va_batch_size > n_train:
             raise ConfigError(f"batch size exceeds dataset size {n_train}")
-        resolution = resolution or train_samples[0].image.shape[0]
-        return cls(images=_prepare_images(train_samples, resolution),
+        return cls(images=_prepare_images(train_samples, config.resolution),
                    labels=[s.label for s in train_samples],
-                   val_images=_prepare_images(list(val_samples), resolution),
+                   val_images=_prepare_images(list(val_samples),
+                                              config.resolution),
                    val_labels=[s.label for s in val_samples])
 
 
@@ -262,7 +254,7 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
                     loss = image_loss(idx)
                     loss.backward(seed=1.0 / len(batch))
                     batch_loss += loss.item() / len(batch)
-                sgd_step(params, {k: p.grad for k, p in params.items()}, opt)
+                sgd_step(params, opt)
                 batch_losses.append(batch_loss)
         except FloatingPointError as exc:
             _restore(nets, good)
@@ -286,20 +278,19 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
 
 
 def pretrain_cn(cn: CnNet, train_samples: list[WeakSample], config: RunConfig,
-                mask_fn=None, val_samples: list[WeakSample] = (),
-                resolution: int | None = None, log: TrainLog | None = None,
+                val_samples: list[WeakSample] = (), log: TrainLog | None = None,
                 start_epoch: int = 0) -> tuple[TrainLog, int]:
-    """Saliency-masked pretraining of the color-naming branch.
+    """Saliency-masked pretraining of the color-naming branch at
+    ``config.resolution``; each image's mask is its binarized saliency
+    field.
 
     Returns the log and the next global epoch index. Raises
     :class:`DivergenceError` (after restoring the last finite epoch's
     state) if the loss goes non-finite.
     """
-    data = _StageData.prepare(config, train_samples, val_samples, resolution)
+    data = _StageData.prepare(config, train_samples, val_samples)
     log = log if log is not None else TrainLog()
-    if mask_fn is None:
-        mask_fn = lambda img: binarize(compute_saliency(img))
-    masks = [mask_fn(img) for img in data.images]
+    masks = [binarize(compute_saliency(img)) for img in data.images]
 
     def image_loss(i):
         y = cn_forward(cn, data.images[i], train=True)
@@ -352,9 +343,9 @@ def _phase_loss(phase: str, cn: CnNet, attention: VaNet | None,
     return lambda i: cross_entropy(score(i).y_hat, data.labels[i])
 
 
-def alternating_train(cn: CnNet, va: VaNet, train_samples: list[WeakSample],
-                      config: RunConfig, val_samples: list[WeakSample] = (),
-                      resolution: int | None = None,
+def alternating_train(cn: CnNet, va: VaNet | None,
+                      train_samples: list[WeakSample], config: RunConfig,
+                      val_samples: list[WeakSample] = (),
                       log: TrainLog | None = None, start_epoch: int = 0,
                       start_phase: int = 0,
                       prev_phase_loss: float = float("nan"),
@@ -363,12 +354,13 @@ def alternating_train(cn: CnNet, va: VaNet, train_samples: list[WeakSample],
 
     Stops when the relative change between consecutive phase-mean
     losses falls below ``convergence_tol`` or after ``max_phases``
-    phases. Returns the log and the next global epoch index.
+    phases. Without an attention branch (``va=None``) every phase is a
+    CN phase. Returns the log and the next global epoch index.
     """
-    data = _StageData.prepare(config, train_samples, val_samples, resolution)
+    data = _StageData.prepare(config, train_samples, val_samples)
     log = log if log is not None else TrainLog()
-    attention = attention_branch(va, config.ablation)
-    if start_phase == 0 and attention is not None:
+    nets = [cn] if va is None else [cn, va]
+    if start_phase == 0 and va is not None:
         _calibrate_batchnorm(va, data.images)
 
     # the lr counter spans the alternation phases; log epochs stay
@@ -381,14 +373,14 @@ def alternating_train(cn: CnNet, va: VaNet, train_samples: list[WeakSample],
         # VA epoch; halving the phase budget keeps total compute equal
         max_phases = (config.max_phases + 1) // 2
     for phase_idx in range(start_phase, max_phases):
-        if attention is None:
+        if va is None:
             phase = "CN"
         elif config.ablation == "no-alternation":
             phase = "JOINT"
         else:
             phase = "VA" if phase_idx % 2 == 0 else "CN"
         trainable = {"VA": [va], "CN": [cn], "JOINT": [cn, va]}[phase]
-        for net in (cn, va):
+        for net in nets:
             net.set_trainable(net in trainable)
         params = {}
         for net in trainable:
@@ -396,11 +388,11 @@ def alternating_train(cn: CnNet, va: VaNet, train_samples: list[WeakSample],
             params.update({prefix + k: p for k, p in net.parameters().items()})
         epoch, epoch_losses = _run_epochs(
             config, data, log, phase=phase, nets=trainable, params=params,
-            image_loss=_phase_loss(phase, cn, attention, data),
+            image_loss=_phase_loss(phase, cn, va, data),
             batch_size=(config.cn_batch_size if phase == "CN"
                         else config.va_batch_size),
             n_epochs=config.phase_epochs, epoch=epoch,
-            lr_origin=alternation_start, cn=cn, va=attention)
+            lr_origin=alternation_start, cn=cn, va=va)
 
         phase_loss = float(np.mean(epoch_losses))
         if on_phase_end is not None:
@@ -411,7 +403,7 @@ def alternating_train(cn: CnNet, va: VaNet, train_samples: list[WeakSample],
             if rel < config.convergence_tol:
                 break
         prev_phase_loss = phase_loss
-    for net in (cn, va):
+    for net in nets:
         net.set_trainable(True)
     return log, epoch
 
@@ -466,7 +458,7 @@ def attention_localization(attention: AttentionMap,
     outside = float(a[~mask].mean())
     spread = a.max() - a.min()
     if spread > 0:
-        binary = binarize((a - a.min()) / spread, method="mean").astype(bool)
+        binary = binarize((a - a.min()) / spread).astype(bool)
     else:
         binary = np.zeros_like(mask)
     union = (binary | mask).sum()
@@ -484,19 +476,18 @@ def _concentration_ratio(stats: LocalizationStats) -> float:
 
 
 def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
-                   resolution: int, ablation: str = "none") -> dict:
+                   resolution: int) -> dict:
     """Metrics over a test split.
 
     Image-wise accuracy runs the full model at its training resolution.
     When samples carry masks, pixel-wise accuracy runs the color branch
     alone at native image size (reusing the first map when the image
     already is at training resolution), and, when the model has an
-    attention branch, attention localization is reported against the
-    ground-truth masks.
+    attention branch (``va`` is not None), attention localization is
+    reported against the ground-truth masks.
     """
     if not samples:
         raise ValueError("evaluate_model: empty sample list")
-    va = attention_branch(va, ablation)
     labels = [s.label for s in samples]
     images = _prepare_images(samples, resolution)
     scores: list[ImageScore] = []
@@ -578,30 +569,36 @@ class _BranchRecords:
         return mean, var
 
 
-def build_networks(cfg: RunConfig, num_classes: int, dtype=TRAIN_DTYPE,
+def build_networks(cfg: RunConfig, num_classes: int,
                    records: Mapping[str, np.ndarray] | None = None
-                   ) -> tuple[CnNet, VaNet]:
-    """Both branches for ``cfg``: freshly initialized, or, given a
+                   ) -> tuple[CnNet, VaNet | None]:
+    """The branches of ``cfg``'s model: freshly initialized, or, given a
     checkpoint's ``records``, holding copies of the saved parameters and
-    statistics (see :func:`load_model`)."""
+    statistics (see :func:`load_model`). The ``no-attention`` model has
+    no attention branch (``va`` is None) and ``no-prior`` builds one
+    without the spatial prior."""
     cn_weights = va_weights = None
     if records is not None:
         cn_weights = _BranchRecords(records, "cn")
         va_weights = _BranchRecords(records, "va")
-    cn = CnNet(num_classes=num_classes, width=cfg.cn_width, dtype=dtype,
+    cn = CnNet(num_classes=num_classes, width=cfg.cn_width, dtype=TRAIN_DTYPE,
                seed=cfg.seed, weights=cn_weights)
+    if cfg.ablation == "no-attention":
+        return cn, None
     va = VaNet(resolution=cfg.resolution, stages=cfg.va_stages,
                channels=cfg.va_channel_list(), fc_width=cfg.va_fc_width,
                bottleneck_channels=cfg.va_bottleneck_channels,
                dec_channels=cfg.va_dec_channel_list(),
-               use_prior=cfg.ablation != "no-prior", dtype=dtype,
+               use_prior=cfg.ablation != "no-prior", dtype=TRAIN_DTYPE,
                seed=cfg.seed + 1, weights=va_weights)
     return cn, va
 
 
-def _model_records(cn: CnNet, va: VaNet) -> dict[str, np.ndarray]:
+def _model_records(cn: CnNet, va: VaNet | None) -> dict[str, np.ndarray]:
     records: dict[str, np.ndarray] = {}
     for prefix, net in (("cn", cn), ("va", va)):
+        if net is None:
+            continue
         for k, p in net.parameters().items():
             records[f"{prefix}.{k}"] = p.data
         for k, s in net.stats().items():
@@ -610,7 +607,7 @@ def _model_records(cn: CnNet, va: VaNet) -> dict[str, np.ndarray]:
     return records
 
 
-def save_model(path, cn: CnNet, va: VaNet, cfg: RunConfig,
+def save_model(path, cn: CnNet, va: VaNet | None, cfg: RunConfig,
                counters: dict | None = None) -> None:
     """Write a checkpoint: vocabulary header, config text (with the
     resume ``counters``), parameters and batchnorm statistics.
@@ -628,15 +625,16 @@ def save_model(path, cn: CnNet, va: VaNet, cfg: RunConfig,
                      _model_records(cn, va))
 
 
-def load_model(path) -> tuple[CnNet, VaNet, RunConfig, dict]:
+def load_model(path) -> tuple[CnNet, VaNet | None, RunConfig, dict]:
     """Rebuild networks from a checkpoint; returns (cn, va, config,
     resume counters).
 
     The networks are built straight from the checkpoint's records: each
     parameter and statistic is one float32 copy of its record, and
     nothing is drawn at random. A missing record or a wrong shape raises
-    :class:`ConfigError`; records the networks do not use are ignored,
-    as is the optimizer section older files carry.
+    :class:`ConfigError`; records the networks do not use, such as the
+    untrained attention branch older ``no-attention`` files carry, are
+    ignored, as is the optimizer section older files carry.
     """
     ckpt = read_checkpoint(path)
     counters: dict[str, str] = {}

@@ -129,7 +129,7 @@ VOCABULARY_PRESETS: dict[str, ColorVocabulary] = {
 }
 
 
-def get_vocabulary(spec: str, anchors: tuple[RGB, ...] | None = None) -> ColorVocabulary:
+def get_vocabulary(spec: str) -> ColorVocabulary:
     """Resolve a preset name or a comma-separated explicit name list.
 
     Explicit lists get preset anchors when every name is a basic term,
@@ -141,12 +141,11 @@ def get_vocabulary(spec: str, anchors: tuple[RGB, ...] | None = None) -> ColorVo
     names = tuple(s.strip() for s in spec.split(",") if s.strip())
     if not names:
         raise ValueError(f"empty vocabulary spec {spec!r}")
-    if anchors is None:
-        if all(n in _BASIC for n in names):
-            anchors = tuple(_BASIC[n] for n in names)
-        else:
-            anchors = tuple(_hue_color(i, len(names)) for i in range(len(names)))
-    return ColorVocabulary(names, tuple(anchors))
+    if all(n in _BASIC for n in names):
+        anchors = tuple(_BASIC[n] for n in names)
+    else:
+        anchors = tuple(_hue_color(i, len(names)) for i in range(len(names)))
+    return ColorVocabulary(names, anchors)
 
 
 def _hue_color(i: int, n: int) -> RGB:

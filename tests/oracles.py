@@ -53,20 +53,16 @@ def deconv2d_loops(x, kernel, stride):
     return out
 
 
-def maxpool2d_loops(x, k, stride, ceil_mode=False):
-    """Direct scanning max pool. x: [H,W,C]."""
+def maxpool2d_loops(x, k, stride):
+    """Direct scanning max pool, windows counted in ceil mode. x: [H,W,C]."""
     h, w, c = x.shape
-    if ceil_mode:
-        oh = -(-(h - k) // stride) + 1
-        ow = -(-(w - k) // stride) + 1
-        # the last window must start inside the input
-        if (oh - 1) * stride >= h:
-            oh -= 1
-        if (ow - 1) * stride >= w:
-            ow -= 1
-    else:
-        oh = (h - k) // stride + 1
-        ow = (w - k) // stride + 1
+    oh = -(-(h - k) // stride) + 1
+    ow = -(-(w - k) // stride) + 1
+    # the last window must start inside the input
+    if (oh - 1) * stride >= h:
+        oh -= 1
+    if (ow - 1) * stride >= w:
+        ow -= 1
     out = np.zeros((oh, ow, c), dtype=x.dtype)
     for i in range(oh):
         for j in range(ow):
@@ -81,7 +77,7 @@ def maxpool2d_loops(x, k, stride, ceil_mode=False):
     return out
 
 
-def maxpool2d_grad_loops(x, k, stride, g, ceil_mode=False):
+def maxpool2d_grad_loops(x, k, stride, g):
     """Input gradient of the scanning max pool: each output gradient goes
     to its window's first maximum in row-major order, added in the
     row-major order of the outputs."""

@@ -88,6 +88,14 @@ class TestSynthCommand:
         bad.write_text("no_such_key = 5\n")
         assert main(["synth", "--config", str(bad)]) == EXIT_CONFIG
 
+    def test_inverted_scale_range_is_config_error(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, scale_min=0.9, scale_max=0.1)
+        out = tmp_path / "inverted"
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(out)]) == EXIT_CONFIG
+        assert "scale_range (0.9, 0.1) out of bounds" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_tiny_run_completes_and_writes_artifacts(self, synthed):
@@ -130,12 +138,45 @@ class TestTrainCommand:
                     if line and ".wall_time" not in line]
             assert log[len(log) - len(tail):] == tail, phase
 
-    def test_ablation_flag_tags_the_log(self, synthed):
+    def test_no_attention_model_is_the_color_branch_alone(self, synthed):
+        from chroma.checkpoint import read_checkpoint, write_checkpoint
+        from chroma.config import RunConfig
+        from chroma.training import build_networks
         tmp_path, cfg = synthed
+        run = tmp_path / "abl"
         assert main(["train", "--config", str(cfg), "--ablation",
-                     "no-attention", "--out", str(tmp_path / "abl")]) == EXIT_OK
-        table = (tmp_path / "abl" / "trainlog.txt").read_text()
+                     "no-attention", "--out", str(run)]) == EXIT_OK
+        table = (run / "trainlog.txt").read_text()
         assert "CN" in table and "VA" not in table
+        ckpt = read_checkpoint(run / "final.ckpt")
+        assert ckpt.params and all(k.startswith("cn.") for k in ckpt.params)
+        # files from older writers also carry an untrained attention
+        # branch; it is ignored
+        _, va = build_networks(RunConfig.from_file(cfg), len(ckpt.vocabulary))
+        records = dict(ckpt.params)
+        records.update({f"va.{k}": p.data for k, p in va.parameters().items()})
+        for k, s in va.stats().items():
+            records[f"va.stat.{k}.mean"] = s.mean
+            records[f"va.stat.{k}.var"] = s.var
+        legacy = tmp_path / "legacy.ckpt"
+        write_checkpoint(legacy, ckpt.vocabulary, ckpt.config_text, records)
+        image = next((tmp_path / "data" / "test" / "red").glob("*.ppm"))
+        for ckpt_path, out in ((run / "final.ckpt", tmp_path / "new"),
+                               (legacy, tmp_path / "old")):
+            assert main(["eval", "--checkpoint", str(ckpt_path),
+                         "--out", str(out)]) == EXIT_OK
+            assert main(["infer", str(image), "--checkpoint", str(ckpt_path),
+                         "--out", str(out)]) == EXIT_OK
+        for name in ("metrics.txt", "prediction.txt", "attention.ppm",
+                     "color_names.ppm"):
+            assert (tmp_path / "new" / name).read_bytes() == \
+                (tmp_path / "old" / name).read_bytes(), name
+
+    def test_infinite_convergence_tol_is_accepted(self):
+        # it means "stop at the first comparison"
+        from chroma.config import RunConfig
+        assert RunConfig.from_text("convergence_tol = inf\n").convergence_tol \
+            == float("inf")
 
     def test_missing_dataset_root_is_config_error(self, tmp_path):
         cfg = tmp_path / "nodataset.cfg"
@@ -148,9 +189,15 @@ class TestTrainCommand:
         ("momentum", "1.0", "momentum must lie in [0, 1)"),
         ("momentum", "1.5", "momentum must lie in [0, 1)"),
         ("momentum", "-0.1", "momentum must lie in [0, 1)"),
+        ("convergence_tol", "nan", "convergence_tol must be a number"),
+        ("learning_rate", "inf", "learning_rate must be finite"),
+        ("jitter_sigma", "nan", "jitter_sigma must be a number"),
+        ("center_sigma", "inf", "center_sigma must be finite"),
+        ("scale_max", "-inf", "scale_max must be finite"),
+        ("resolution", "4", "resolution 4 must exceed 2**va_stages"),
     ])
-    def test_bad_optimizer_settings_are_exit_4(self, synthed, capsys, key,
-                                               value, message):
+    def test_bad_settings_are_exit_4(self, synthed, capsys, key, value,
+                                     message):
         tmp_path, _ = synthed
         cfg = _write_cfg(tmp_path, **{key: value})
         capsys.readouterr()
@@ -258,6 +305,15 @@ class TestInferCommand:
         dark_blue = np.array([0, 0, 128]) / 255.0
         assert np.abs(heat - dark_blue).max() < 1e-9
 
+    def test_oversized_image_header_is_exit_2(self, tmp_path, fresh_checkpoint,
+                                              capsys):
+        path, _ = fresh_checkpoint
+        image = tmp_path / "huge.ppm"
+        image.write_bytes(b"P6\n99999999999999999999 1\n255\n")
+        assert main(["infer", str(image), "--checkpoint", str(path),
+                     "--out", str(tmp_path / "x")]) == EXIT_IO
+        assert "error:" in capsys.readouterr().err
+
     def test_unreadable_image_is_exit_2(self, synthed):
         tmp_path, cfg = synthed
         assert main(["train", "--config", str(cfg)]) == EXIT_OK
@@ -266,6 +322,19 @@ class TestInferCommand:
         assert main(["infer", str(bad), "--checkpoint",
                      str(tmp_path / "run" / "final.ckpt"),
                      "--out", str(tmp_path / "x")]) == EXIT_IO
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "m.ckpt"],
+    ["infer", "image.ppm", "--checkpoint", "m.ckpt"],
+])
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--ablation", "no-attention"]])
+def test_eval_and_infer_reject_model_flags(argv, flag, capsys):
+    # the model comes from the checkpoint, so these would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -57,6 +57,15 @@ class TestNetpbm:
         with pytest.raises(ValueError, match="truncated"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("reader, magic", [(read_ppm, b"P6"),
+                                               (read_pgm, b"P5")])
+    def test_size_beyond_the_file_rejected_before_reading(self, tmp_path,
+                                                          reader, magic):
+        path = tmp_path / "huge"
+        path.write_bytes(magic + b"\n99999999999999999999 1\n255\n" + bytes(6))
+        with pytest.raises(ValueError, match="truncated"):
+            reader(path)
+
 
 class TestVocabularies:
     def test_presets_have_expected_class_counts(self):
@@ -193,9 +202,9 @@ class TestSynthGenerate:
             synth_generate(SynthConfig(jitter_sigma=0.2), 1)
 
     def test_background_margin_is_enforced(self):
+        # the gray anchor lies 0.11 from the (112, 112, 112) background
         with pytest.raises(ValueError, match="background"):
-            synth_generate(SynthConfig(
-                background_palette=((250, 5, 5),)), 1)
+            synth_generate(SynthConfig(vocabulary=get_vocabulary("gray,red")), 1)
 
     def test_distractors_use_other_class_colors(self):
         cfg = SynthConfig(seed=9, jitter_sigma=0.0, distractors=2)

@@ -1,7 +1,6 @@
 """Saliency field and binarization contracts."""
 
 import numpy as np
-import pytest
 
 from chroma.saliency import binarize, compute_saliency
 
@@ -50,23 +49,14 @@ class TestBinarize:
     def test_two_level_field_mean_threshold(self):
         field = np.full((10, 10), 0.1)
         field[2:5, 2:5] = 0.9
-        mask = binarize(field, method="mean")
+        mask = binarize(field)
         assert np.array_equal(mask.astype(bool), field == 0.9)
-
-    def test_fixed_threshold(self):
-        field = np.linspace(0.0, 1.0, 16).reshape(4, 4)
-        mask = binarize(field, method="fixed", threshold=0.5)
-        assert np.array_equal(mask.astype(bool), field >= 0.5)
-
-    def test_fixed_threshold_requires_open_interval(self):
-        with pytest.raises(ValueError):
-            binarize(np.zeros((4, 4)), method="fixed", threshold=1.5)
 
     def test_mean_split_invariant_under_affine_rescale(self):
         rng = np.random.default_rng(1)
         field = rng.uniform(size=(12, 12))
-        base = binarize(field, method="mean")
-        rescaled = binarize(0.37 * field + 0.2, method="mean")
+        base = binarize(field)
+        rescaled = binarize(0.37 * field + 0.2)
         assert np.array_equal(base, rescaled)
 
     def test_synthetic_masks_overlap_ground_truth(self):

@@ -165,8 +165,8 @@ class TestMaxpool2d:
     def test_ceil_mode_matches_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 8, 2))
-        got = maxpool2d(Tensor(x), k=3, stride=2, ceil_mode=True).data
-        want = maxpool2d_loops(x, 3, 2, ceil_mode=True)
+        got = maxpool2d(Tensor(x), k=3, stride=2).data
+        want = maxpool2d_loops(x, 3, 2)
         assert got.shape == want.shape == (3, 4, 2)
         assert np.array_equal(got, want)
 
@@ -174,9 +174,9 @@ class TestMaxpool2d:
         # stride > k: a third window per axis would start at 6, past the
         # 5-pixel edge, and cover only -inf padding
         x = np.arange(25.0).reshape(5, 5, 1)
-        got = maxpool2d(Tensor(x), k=1, stride=3, ceil_mode=True).data
+        got = maxpool2d(Tensor(x), k=1, stride=3).data
         assert np.array_equal(got, [[[0.0], [3.0]], [[15.0], [18.0]]])
-        assert np.array_equal(maxpool2d_loops(x, 1, 3, ceil_mode=True), got)
+        assert np.array_equal(maxpool2d_loops(x, 1, 3), got)
 
     def test_tie_routes_to_first_row_major_index(self):
         x = Tensor(np.full((2, 2, 1), 5.0), requires_grad=True)
@@ -191,17 +191,19 @@ class TestMaxpool2d:
             maxpool2d(Tensor(np.zeros((2, 2, 1))), k=3, stride=1)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("ceil_mode", [False, True])
+    # the two shapes need edge padding on different axes for k3 s2 and k2 s2
+    @pytest.mark.parametrize("variant, shape", [(1, (8, 7, 3)), (2, (9, 6, 3))])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_bytes_match_oracle_with_ties_and_signed_zeros(self, k, stride,
-                                                           ceil_mode, dtype):
-        rng = np.random.default_rng(100 * k + 10 * stride + ceil_mode)
+                                                           variant, shape,
+                                                           dtype):
+        rng = np.random.default_rng(100 * k + 10 * stride + variant)
         # few distinct values: most windows tie, many between +0 and -0
-        x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(8, 7, 3)).astype(dtype)
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape).astype(dtype)
         t = Tensor(x, requires_grad=True)
-        out = maxpool2d(t, k=k, stride=stride, ceil_mode=ceil_mode)
-        want = maxpool2d_loops(x, k, stride, ceil_mode=ceil_mode)
+        out = maxpool2d(t, k=k, stride=stride)
+        want = maxpool2d_loops(x, k, stride)
         assert out.data.dtype == want.dtype and out.data.shape == want.shape
         assert out.data.tobytes() == want.tobytes()
         # inexact sums, so the order of additions into a pixel shows
@@ -209,7 +211,7 @@ class TestMaxpool2d:
         g[rng.random(out.shape) < 0.2] = -0.0
         g = g.astype(dtype)
         out._backward_fn(g)
-        want_grad = maxpool2d_grad_loops(x, k, stride, g, ceil_mode=ceil_mode)
+        want_grad = maxpool2d_grad_loops(x, k, stride, g)
         assert t.grad.tobytes() == want_grad.tobytes()
 
 
@@ -232,27 +234,41 @@ class TestGlobalAvgpool:
 
 
 class TestBatchnorm:
-    def test_standardized_input_is_nearly_unchanged(self):
+    @pytest.mark.parametrize("mode", ["online", "eval"])
+    def test_input_matching_the_statistics_comes_out_standardized(self, mode):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(6, 6, 3))
-        x = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
+        x = rng.normal(loc=2.0, scale=3.0, size=(6, 6, 3))
+        stats = RunningStats(x.mean(axis=(0, 1)), x.var(axis=(0, 1)))
         out = batchnorm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                        RunningStats.create(3), mode="train")
-        assert np.abs(out.data - x).max() < 1e-4
+                        stats, mode=mode)
+        want = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
+        assert np.abs(out.data - want).max() < 1e-5
 
-    def test_zero_gamma_gives_beta(self):
+    @pytest.mark.parametrize("mode", ["online", "eval"])
+    def test_zero_gamma_gives_beta(self, mode):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 4, 2))
         beta = np.array([1.5, -2.0])
         out = batchnorm(Tensor(x), Tensor(np.zeros(2)), Tensor(beta),
-                        RunningStats.create(2), mode="train")
+                        RunningStats(np.array([0.5, -1.0]), np.array([2.0, 0.3])),
+                        mode=mode)
         assert np.array_equal(out.data, np.broadcast_to(beta, (4, 4, 2)))
 
-    def test_zero_variance_channel_is_safe(self):
-        x = Tensor(np.full((3, 3, 1), 4.0))
-        out = batchnorm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                        RunningStats.create(1), mode="train")
-        assert np.isfinite(out.data).all()
+    @pytest.mark.parametrize("mode", ["online", "eval"])
+    def test_zero_variance_channel_is_safe(self, mode):
+        # a constant input normalized by statistics of zero variance
+        x = Tensor(np.full((3, 3, 1), 4.0), requires_grad=True)
+        stats = RunningStats(np.array([4.0]), np.array([0.0]))
+        out = batchnorm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), stats,
+                        mode=mode)
+        tensor_sum(out).backward()
+        assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
+        assert np.array_equal(stats.var, [0.0])
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            batchnorm(Tensor(np.ones((2, 2, 1))), Tensor(np.ones(1)),
+                      Tensor(np.zeros(1)), RunningStats.create(1), mode="train")
 
     def test_online_mode_normalizes_by_pre_update_running_stats(self):
         rng = np.random.default_rng(21)
@@ -272,7 +288,7 @@ class TestBatchnorm:
         x = rng.normal(loc=2.0, scale=3.0, size=(8, 8, 2))
         stats = RunningStats.create(2)
         batchnorm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), stats,
-                  mode="train")
+                  mode="online")
         assert np.allclose(stats.mean, 0.1 * x.mean(axis=(0, 1)))
         assert np.allclose(stats.var, 0.9 + 0.1 * x.var(axis=(0, 1)))
         frozen = stats.copy()
@@ -285,27 +301,20 @@ class TestBatchnorm:
 def _batchnorm_reference(x, gamma, beta, mean, var, mode, g):
     """The straightforward composition: output, running statistics and
     the gradients of x, gamma and beta for an output gradient g."""
-    axes, n = (0, 1), x.shape[0] * x.shape[1]
-    cur_mu, cur_var = x.mean(axis=axes), x.var(axis=axes)
-    mu, v = (cur_mu, cur_var) if mode == "train" else (mean, var)
-    inv_std = 1.0 / np.sqrt(v + 1e-5)
-    xhat = (x - mu) * inv_std
+    axes = (0, 1)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mean) * inv_std
     out = gamma * xhat + beta
-    if mode != "eval":
-        mean = 0.9 * mean + (1.0 - 0.9) * cur_mu
-        var = 0.9 * var + (1.0 - 0.9) * cur_var
-    dxhat = g * gamma
-    if mode == "train":
-        dx = (dxhat - dxhat.sum(axis=axes) / n
-              - xhat * (dxhat * xhat).sum(axis=axes) / n) * inv_std
-    else:
-        dx = dxhat * inv_std
+    if mode == "online":
+        mean = 0.9 * mean + (1.0 - 0.9) * x.mean(axis=axes)
+        var = 0.9 * var + (1.0 - 0.9) * x.var(axis=axes)
+    dx = g * gamma * inv_std
     return out, mean, var, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
 
 class TestBatchnormBytes:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("mode", ["train", "online", "eval"])
+    @pytest.mark.parametrize("mode", ["online", "eval"])
     def test_bit_equal_to_straightforward_composition(self, mode, dtype):
         rng = np.random.default_rng(31)
         x = (rng.normal(size=(9, 7, 5)) * 3.0 + 1.5).astype(dtype)
@@ -463,7 +472,7 @@ class TestDeterminism:
             x = Tensor(rng.normal(size=(9, 9, 3)))
             k1 = Tensor(rng.normal(size=(3, 3, 3, 4)))
             h = relu(conv2d(x, k1, Tensor(np.zeros(4)), padding=1))
-            h = maxpool2d(h, 3, 2, ceil_mode=True)
+            h = maxpool2d(h, 3, 2)
             k2 = Tensor(rng.normal(size=(3, 3, 4, 4)))
             h = deconv2d(h, k2, stride=2)
             return channel_softmax(h).data

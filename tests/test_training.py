@@ -58,8 +58,7 @@ class TestLrSchedule:
         cfg = _tiny_run_config(pretrain_epochs=3, lr_decay_epochs=2)
         weak, _ = _tiny_dataset(cfg)
         cn, _ = build_networks(cfg, len(cfg.vocab()))
-        log, next_epoch = pretrain_cn(cn, weak["train"], cfg,
-                                      resolution=cfg.resolution)
+        log, next_epoch = pretrain_cn(cn, weak["train"], cfg)
         assert next_epoch == 3
         for rec in log.records:
             want = lr_at_epoch(cfg.learning_rate, rec.epoch, cfg.lr_decay_epochs)
@@ -72,7 +71,7 @@ class TestPretrain:
         weak, _ = _tiny_dataset(cfg, single_class=True)
         cn, _ = build_networks(cfg, len(cfg.vocab()))
         cfg.cn_batch_size = min(cfg.cn_batch_size, len(weak["train"]))
-        log, _ = pretrain_cn(cn, weak["train"], cfg, resolution=cfg.resolution)
+        log, _ = pretrain_cn(cn, weak["train"], cfg)
         assert log.records[-1].mean_loss < 0.1
         from chroma.saliency import binarize, compute_saliency
         sample = weak["train"][0]
@@ -90,7 +89,7 @@ class TestPretrain:
         synth = cfg.synth_config()
         weak, test = synth_generate(synth, cfg.n_per_class)
         cn, _ = build_networks(cfg, len(cfg.vocab()))
-        pretrain_cn(cn, weak["train"], cfg, resolution=cfg.resolution)
+        pretrain_cn(cn, weak["train"], cfg)
         accs, centers_ok = [], 0
         with no_grad():
             for s in test:
@@ -110,8 +109,7 @@ class TestPretrain:
         logs = []
         for _ in range(2):
             cn, _ = build_networks(cfg, len(cfg.vocab()))
-            log, _ = pretrain_cn(cn, weak["train"], cfg,
-                                 resolution=cfg.resolution)
+            log, _ = pretrain_cn(cn, weak["train"], cfg)
             logs.append(log)
         # EpochRecord equality ignores wall time by construction
         assert logs[0].records == logs[1].records
@@ -120,9 +118,7 @@ class TestPretrain:
         cfg = _tiny_run_config()
         weak, _ = _tiny_dataset(cfg)
         cn, _ = build_networks(cfg, len(cfg.vocab()))
-        log, _ = pretrain_cn(cn, weak["train"],
-                             cfg,
-                             resolution=cfg.resolution)
+        log, _ = pretrain_cn(cn, weak["train"], cfg)
         assert log.phases_seen() == ["PRETRAIN"]
 
     def test_batch_larger_than_dataset_rejected(self):
@@ -130,8 +126,7 @@ class TestPretrain:
         weak, _ = _tiny_dataset(cfg)
         cn, _ = build_networks(cfg, len(cfg.vocab()))
         with pytest.raises(ConfigError, match="batch"):
-            pretrain_cn(cn, weak["train"], cfg,
-                        resolution=cfg.resolution)
+            pretrain_cn(cn, weak["train"], cfg)
 
     def test_divergence_restores_last_good_state(self, monkeypatch):
         # bounded losses make organic NaN nearly impossible here, so
@@ -152,8 +147,7 @@ class TestPretrain:
 
         monkeypatch.setattr(training_mod, "masked_nll_loss", poisoned)
         with pytest.raises(DivergenceError) as excinfo:
-            pretrain_cn(cn, weak["train"], cfg,
-                        resolution=cfg.resolution)
+            pretrain_cn(cn, weak["train"], cfg)
         assert len(excinfo.value.log.records) == 1  # first epoch completed
         for p in cn.parameters().values():
             assert np.isfinite(p.data).all()
@@ -164,8 +158,7 @@ class TestAlternatingTrain:
         cfg = _tiny_run_config(max_phases=10, convergence_tol=float("inf"))
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
-        log, _ = alternating_train(cn, va, weak["train"], cfg,
-                                   resolution=cfg.resolution)
+        log, _ = alternating_train(cn, va, weak["train"], cfg)
         assert log.phases_seen() == ["VA", "CN"]
 
     def test_frozen_branch_is_bit_identical_through_the_phase(self):
@@ -174,7 +167,7 @@ class TestAlternatingTrain:
         cn, va = build_networks(cfg, len(cfg.vocab()))
         cn_before = cn.state_digest()
         va_before = va.state_digest()
-        alternating_train(cn, va, weak["train"], cfg, resolution=cfg.resolution)
+        alternating_train(cn, va, weak["train"], cfg)
         # first phase trains VA only: CN must be untouched, VA must move
         assert cn.state_digest() == cn_before
         assert va.state_digest() != va_before
@@ -188,7 +181,7 @@ class TestAlternatingTrain:
         def on_phase_end(phase_idx, phase, loss, epoch):
             digests[phase_idx] = (phase, cn.state_digest(), va.state_digest())
 
-        alternating_train(cn, va, weak["train"], cfg, resolution=cfg.resolution,
+        alternating_train(cn, va, weak["train"], cfg,
                           on_phase_end=on_phase_end)
         assert digests[0][0] == "VA" and digests[1][0] == "CN"
         # VA digest after its own phase must survive the CN phase untouched
@@ -201,21 +194,16 @@ class TestAlternatingTrain:
                                convergence_tol=0.0)
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
-        va_before = va.state_digest()
-        log, _ = alternating_train(cn, va, weak["train"],
-                                   cfg,
-                                   resolution=cfg.resolution)
-        assert set(log.phases_seen()) == {"CN"}
-        assert va.state_digest() == va_before
+        assert va is None
+        log, _ = alternating_train(cn, va, weak["train"], cfg)
+        assert log.phases_seen() == ["CN"] and len(log.records) == 2
 
     def test_joint_ablation_trains_both(self):
         cfg = _tiny_run_config(ablation="no-alternation", max_phases=1)
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
         cn_before, va_before = cn.state_digest(), va.state_digest()
-        log, _ = alternating_train(cn, va, weak["train"],
-                                   cfg,
-                                   resolution=cfg.resolution)
+        log, _ = alternating_train(cn, va, weak["train"], cfg)
         assert set(log.phases_seen()) == {"JOINT"}
         assert cn.state_digest() != cn_before
         assert va.state_digest() != va_before
@@ -225,10 +213,8 @@ class TestAlternatingTrain:
                                pretrain_epochs=3, lr_decay_epochs=2)
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
-        log, next_epoch = pretrain_cn(cn, weak["train"], cfg,
-                                      resolution=cfg.resolution)
-        log, next_epoch = alternating_train(cn, va, weak["train"], cfg,
-                                            resolution=cfg.resolution, log=log,
+        log, next_epoch = pretrain_cn(cn, weak["train"], cfg)
+        log, next_epoch = alternating_train(cn, va, weak["train"], cfg, log=log,
                                             start_epoch=next_epoch)
         epochs = [r.epoch for r in log.records]
         assert epochs == list(range(len(epochs)))
@@ -288,9 +274,7 @@ class TestAttentionScale:
         head = cn.parameters()["head.conv.w"]
         head.data[...] = np.random.default_rng(1).normal(
             scale=0.5, size=head.shape)
-        alternating_train(cn, va, weak["train"],
-                          cfg,
-                          resolution=cfg.resolution)
+        alternating_train(cn, va, weak["train"], cfg)
         with no_grad():
             spreads = [float(va.forward(s.image.astype(np.float32)).data.std())
                        for s in weak["train"]]
