@@ -149,6 +149,12 @@ def cmd_train(args) -> int:
         cn, va, ckpt_cfg, counters = load_model(args.checkpoint)
         if ckpt_cfg.vocab().names != vocab.names:
             raise ConfigError("checkpoint vocabulary does not match the dataset")
+        # a resumed run trains the checkpoint's model
+        for key in ("seed", "ablation"):
+            flag, saved = getattr(args, key), getattr(ckpt_cfg, key)
+            if flag is not None and flag != saved:
+                raise ConfigError(f"--{key} {flag} differs from the "
+                                  f"checkpoint's {key} {saved}")
         cfg = ckpt_cfg
         stage = counters.get("stage", "pretrained")
         pretrained = True
@@ -207,9 +213,11 @@ def cmd_eval(args) -> int:
     vocab = ckpt_cfg.vocab()
     root = Path(dataset_root)
     _check_dataset_vocabulary(root, vocab.names)
-    try:
+    # a test split without any mask is weakly labeled; one with some
+    # masks must have them all (a missing one is an I/O error)
+    if any((root / "test").glob("*/*.mask.pgm")):
         samples = load_eval_dataset(root, vocab)
-    except FileNotFoundError:
+    else:
         samples = load_weak_dataset(root, vocab)["test"]
     if not samples:
         raise ConfigError(f"no test images under {root}")

@@ -131,6 +131,8 @@ class RunConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.convergence_tol < 0:
             raise ConfigError("convergence_tol must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         for name in ("resolution", "cn_batch_size", "va_batch_size",
                      "pretrain_epochs", "phase_epochs", "max_phases",
                      "cn_width", "va_stages", "va_fc_width",
@@ -142,10 +144,16 @@ class RunConfig:
         if (self.resolution - 1) >> self.va_stages == 0:
             raise ConfigError(f"resolution {self.resolution} must exceed "
                               f"2**va_stages = 2**{self.va_stages}")
-        if len(self._int_list(self.va_channels)) != self.va_stages:
-            raise ConfigError("va_channels must list one width per stage")
-        if len(self._int_list(self.va_dec_channels)) != self.va_stages:
-            raise ConfigError("va_dec_channels must list one width per stage")
+        for name in ("va_channels", "va_dec_channels"):
+            widths = self._int_list(getattr(self, name))
+            if len(widths) != self.va_stages:
+                raise ConfigError(f"{name} must list one width per stage")
+            if min(widths) < 1:
+                raise ConfigError(f"{name} widths must be at least 1")
+        try:
+            self.vocab()
+        except ValueError as exc:
+            raise ConfigError(f"vocabulary {self.vocabulary!r}: {exc}") from exc
 
     @staticmethod
     def _int_list(raw: str) -> tuple[int, ...]:

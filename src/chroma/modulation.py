@@ -115,9 +115,9 @@ def modulate(y: Tensor, attention: AttentionMap) -> Tensor:
     result = _make_node(out, "modulate", (y, a))
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
-            if y.requires_grad or y._parents:
+            if y.requires_grad:
                 _accum(y, a.data[:, :, None] * g)
-            if a.requires_grad or a._parents:
+            if a.requires_grad:
                 _accum(a, (g * y.data).sum(axis=2))
         result._backward_fn = _backward
     return result

@@ -36,7 +36,10 @@ def _read_header(f: io.BufferedReader, magic: bytes, path) -> tuple[int, int]:
             ch = f.read(1)
         if not tok:
             raise ValueError(f"{path}: truncated header")
-        fields.append(int(tok))
+        try:
+            fields.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{path}: bad header field {tok!r}") from None
     width, height, maxval = fields
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")

@@ -99,9 +99,9 @@ class _ParamStore:
     values of one parameter and whose ``stats(name, shape)`` returns the
     saved (mean, var) of one batchnorm layer, each checked against the
     shape the network expects. A network built from weights copies each
-    array once and draws nothing. Gradient buffers are allocated by
-    :meth:`set_trainable`, so a network that is only run forward never
-    holds any.
+    array once and draws nothing. Every parameter requires gradients,
+    but a gradient is allocated only when a backward pass reaches it, so
+    a network that is only run forward never holds any.
     """
 
     def __init__(self, dtype, seed: int, weights):
@@ -117,8 +117,7 @@ class _ParamStore:
             values = np.asarray(init(shape), dtype=self.dtype)
         else:
             values = np.array(self._weights.param(name, shape), dtype=self.dtype)
-        t = Tensor(values, op=name)  # no gradient buffer yet
-        t.requires_grad = True
+        t = Tensor(values, requires_grad=True, op=name)
         self._params[name] = t
         return t
 
@@ -150,17 +149,6 @@ class _ParamStore:
 
     def stats(self) -> dict[str, RunningStats]:
         return dict(self._stats)
-
-    def set_trainable(self, flag: bool) -> None:
-        for p in self._params.values():
-            p.requires_grad = flag
-            if flag and p.grad is None:
-                p.grad = np.zeros_like(p.data)
-
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            if p.grad is not None:
-                p.grad[...] = 0.0
 
     def state_digest(self) -> bytes:
         """Hash of all parameters and statistics, for freeze contracts."""

@@ -6,7 +6,9 @@ computation graph is therefore implicit: it is the DAG of ``_parents``
 links reachable from an output tensor. ``Tensor.backward`` performs a
 topological traversal of that DAG and runs each node's backward rule
 exactly once, accumulating gradients into every leaf created with
-``requires_grad=True``.
+``requires_grad=True``. :class:`no_grad` is the one switch that stops a
+graph from being built; a tensor's ``grad`` stays None until a backward
+pass reaches it.
 
 Two float widths are supported. Tests and gradient checks run in 64-bit
 (the module default); training code constructs its parameters in 32-bit
@@ -108,11 +110,7 @@ class Tensor:
         self._parents = parents
         self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._backward_run = False
-        # Leaves that require gradients get a zero buffer eagerly, so a
-        # leaf that never appears on the path to a loss reads as zero.
-        self.grad: np.ndarray | None = (
-            np.zeros_like(arr) if (requires_grad and not parents) else None
-        )
+        self.grad: np.ndarray | None = None  # until a backward pass reaches it
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -128,12 +126,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad[...] = 0.0
 
     def backward(self, seed: float = 1.0) -> None:
         """Populate gradients of every tensor this scalar depends on.
@@ -293,11 +285,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
             g2 = g.reshape(oh * ow, cout)
-            if kernel.requires_grad or kernel._parents:
+            if kernel.requires_grad:
                 _accum(kernel, (cols.T @ g2).reshape(kernel.shape))
-            if bias.requires_grad or bias._parents:
+            if bias.requires_grad:
                 _accum(bias, g2.sum(axis=0))
-            if x.requires_grad or x._parents:
+            if x.requires_grad:
                 dcols = g2 @ kmat.T
                 dpad = _col2im(dcols, padded.shape[0], padded.shape[1], cin,
                                k, stride, oh, ow)
@@ -338,9 +330,9 @@ def deconv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
             gcols = _im2col(g, k, stride)
-            if x.requires_grad or x._parents:
+            if x.requires_grad:
                 _accum(x, (gcols @ kmat).reshape(h, w, cin))
-            if kernel.requires_grad or kernel._parents:
+            if kernel.requires_grad:
                 dk = gcols.T @ x.data.reshape(h * w, cin)
                 _accum(kernel, dk.reshape(kernel.shape))
         result._backward_fn = _backward
@@ -397,8 +389,6 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
 
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
-            if not (x.requires_grad or x._parents):
-                return
             taken = np.zeros(out.shape, dtype=bool)
             masks = []
             for sl in offsets:
@@ -492,11 +482,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
 
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
-            if gamma.requires_grad or gamma._parents:
+            if gamma.requires_grad:
                 _accum(gamma, (g * xhat).sum(axis=axes))
-            if beta.requires_grad or beta._parents:
+            if beta.requires_grad:
                 _accum(beta, g.sum(axis=axes))
-            if x.requires_grad or x._parents:
+            if x.requires_grad:
                 dx = g * gamma.data
                 dx *= inv_std
                 _accum(x, dx)
@@ -561,9 +551,9 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     result = _make_node(out, "concat_channels", (a, b))
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
-            if a.requires_grad or a._parents:
+            if a.requires_grad:
                 _accum(a, g[:, :, :ca], shared=True)
-            if b.requires_grad or b._parents:
+            if b.requires_grad:
                 _accum(b, g[:, :, ca:], shared=True)
         result._backward_fn = _backward
     return result
@@ -644,11 +634,11 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     result = _make_node(out, "fully_connected", (x, weights, bias))
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
-            if x.requires_grad or x._parents:
+            if x.requires_grad:
                 _accum(x, weights.data @ g)
-            if weights.requires_grad or weights._parents:
+            if weights.requires_grad:
                 _accum(weights, np.outer(x.data, g))
-            if bias.requires_grad or bias._parents:
+            if bias.requires_grad:
                 _accum(bias, g, shared=True)
         result._backward_fn = _backward
     return result
@@ -748,9 +738,10 @@ def finite_diff_check(fn: Callable[[], Tensor], wrt: Tensor,
     out = fn()
     if out.size != 1:
         raise ValueError(f"finite_diff_check: loss must be scalar, got {out.shape}")
-    wrt.zero_grad()
+    wrt.grad = None
     out.backward()
-    analytic = wrt.grad.copy()
+    analytic = (np.zeros_like(wrt.data) if wrt.grad is None
+                else wrt.grad.copy())
     flat = wrt.data.reshape(-1)
     numeric = np.zeros_like(analytic).reshape(-1)
     for i in range(flat.size):

@@ -7,9 +7,10 @@ the image-level cross entropy of the aggregated score: the attention
 branch first, with the color branch frozen, then the roles swap, until
 the relative change of the phase-mean loss drops below the tolerance or
 the phase budget runs out. Frozen parameters (and their batchnorm
-statistics) are bit-identical across the other branch's phase; the
-frozen branch's outputs are precomputed once per phase since they
-cannot change.
+statistics) are bit-identical across the other branch's phase: the
+frozen branch's outputs cannot change, so they are precomputed once per
+phase under ``no_grad``, and only the trained branch's parameters are
+stepped. No gradient reaches the frozen branch.
 
 Both stages take the :class:`RunConfig` and run their epochs through
 one loop (:func:`_run_epochs`): learning rate, shuffle, minibatches of
@@ -227,9 +228,10 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
     ``image_loss(i)`` builds the loss graph of training image ``i``; a
     batch's per-image graphs are backpropagated one at a time with
     ``seed=1/len(batch)`` and ``params`` (all of ``nets``' parameters)
-    take one momentum step per batch. The learning rate follows
-    :func:`lr_at_epoch` on ``epoch - lr_origin``. A non-finite loss or
-    gradient restores ``nets`` to the start of the epoch and raises
+    start each batch without gradients and take one momentum step per
+    batch. The learning rate follows :func:`lr_at_epoch` on
+    ``epoch - lr_origin``. A non-finite loss or gradient restores
+    ``nets`` to the start of the epoch and raises
     :class:`DivergenceError`. Each epoch logs its mean loss and the
     validation accuracy of the model ``(cn, va)``. Returns the next
     global epoch index and the epoch-mean losses.
@@ -247,8 +249,8 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
         batch_losses = []
         try:
             for batch in _batches(order, batch_size):
-                for net in nets:
-                    net.zero_grads()
+                for p in params.values():
+                    p.grad = None
                 batch_loss = 0.0
                 for idx in batch:
                     loss = image_loss(idx)
@@ -296,7 +298,6 @@ def pretrain_cn(cn: CnNet, train_samples: list[WeakSample], config: RunConfig,
         y = cn_forward(cn, data.images[i], train=True)
         return masked_nll_loss(y, masks[i], data.labels[i])
 
-    cn.set_trainable(True)
     epoch, _ = _run_epochs(
         config, data, log, phase="PRETRAIN", nets=[cn], params=cn.parameters(),
         image_loss=image_loss, batch_size=config.cn_batch_size,
@@ -312,7 +313,7 @@ def pretrain_cn(cn: CnNet, train_samples: list[WeakSample], config: RunConfig,
 def _cache_forward(net, images) -> list[Tensor]:
     """Eval-mode outputs of a frozen branch, as reusable constant tensors."""
     with no_grad():
-        return [Tensor(net.forward(img).data) for img in images]
+        return [net.forward(img) for img in images]
 
 
 def _calibrate_batchnorm(net, images) -> None:
@@ -359,7 +360,6 @@ def alternating_train(cn: CnNet, va: VaNet | None,
     """
     data = _StageData.prepare(config, train_samples, val_samples)
     log = log if log is not None else TrainLog()
-    nets = [cn] if va is None else [cn, va]
     if start_phase == 0 and va is not None:
         _calibrate_batchnorm(va, data.images)
 
@@ -380,8 +380,6 @@ def alternating_train(cn: CnNet, va: VaNet | None,
         else:
             phase = "VA" if phase_idx % 2 == 0 else "CN"
         trainable = {"VA": [va], "CN": [cn], "JOINT": [cn, va]}[phase]
-        for net in nets:
-            net.set_trainable(net in trainable)
         params = {}
         for net in trainable:
             prefix = "cn." if net is cn else "va."
@@ -403,8 +401,6 @@ def alternating_train(cn: CnNet, va: VaNet | None,
             if rel < config.convergence_tol:
                 break
         prev_phase_loss = phase_loss
-    for net in nets:
-        net.set_trainable(True)
     return log, epoch
 
 

@@ -35,11 +35,20 @@ class TestBackwardContract:
         tensor_sum(w).backward()
         assert np.array_equal(w.grad, np.ones((2, 3)))
 
-    def test_leaf_off_the_path_has_zero_gradient(self):
+    def test_leaf_off_the_path_has_no_gradient(self):
         w = Tensor(np.ones(3), requires_grad=True)
         other = Tensor(np.ones(3), requires_grad=True)
         tensor_sum(w).backward()
-        assert np.array_equal(other.grad, np.zeros(3))
+        assert other.grad is None
+        # sgd_step reads a missing gradient as zero: after one step along
+        # a gradient, the leaf moves by its momentum alone
+        state = OptimizerState(learning_rate=0.5, momentum=0.5)
+        tensor_sum(other).backward()
+        sgd_step({"other": other}, state)  # v = 1, other = 1 - 0.5
+        other.grad = None
+        sgd_step({"other": other}, state)  # v = 0.5, other = 0.5 - 0.25
+        assert np.array_equal(state.velocities["other"], np.full(3, 0.5))
+        assert np.array_equal(other.data, np.full(3, 0.25))
 
     def test_repeated_backward_raises(self):
         w = Tensor(np.ones(3), requires_grad=True)
@@ -118,7 +127,7 @@ class TestSgdStep:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         w = Tensor(np.array([2.0, -1.0]), requires_grad=True)
         state = OptimizerState(learning_rate=0.1, momentum=0.9)
-        sgd_step({"w": w}, state)  # a fresh leaf's gradient is zero
+        sgd_step({"w": w}, state)  # a fresh leaf has no gradient
         assert np.array_equal(w.data, np.array([2.0, -1.0]))
 
     def test_two_momentum_steps_hand_applied(self):

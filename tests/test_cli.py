@@ -1,13 +1,17 @@
 """Command-line contracts: subcommands, exit codes, emitted files."""
 
+import dataclasses
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from chroma.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_IO, EXIT_OK, \
     heatmap_colormap, main, render_heatmap
+from chroma.config import RunConfig
 from chroma.netpbm import read_ppm, write_ppm
 
 
@@ -117,6 +121,24 @@ class TestTrainCommand:
                      str(final)]) == EXIT_OK
         assert final.read_bytes() == before
 
+    def test_resume_rejects_a_seed_or_ablation_the_checkpoint_lacks(
+            self, synthed, capsys):
+        tmp_path, cfg = synthed
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        final = tmp_path / "run" / "final.ckpt"
+        before = final.read_bytes()
+        resume = ["train", "--config", str(cfg), "--checkpoint", str(final)]
+        for flag, message in (
+                (["--seed", "99"], "--seed 99 differs from the checkpoint's seed 2"),
+                (["--ablation", "no-attention"], "--ablation no-attention "
+                 "differs from the checkpoint's ablation none")):
+            capsys.readouterr()
+            assert main(resume + flag) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+        # the checkpoint's own values are accepted
+        assert main(resume + ["--seed", "2", "--ablation", "none"]) == EXIT_OK
+        assert final.read_bytes() == before
+
     def test_resume_from_any_phase_matches_the_uninterrupted_run(self, tmp_path):
         # a zero tolerance never stops by convergence, so all three
         # phase checkpoints exist; resuming from phase_02 has no phase left
@@ -195,6 +217,12 @@ class TestTrainCommand:
         ("center_sigma", "inf", "center_sigma must be finite"),
         ("scale_max", "-inf", "scale_max must be finite"),
         ("resolution", "4", "resolution 4 must exceed 2**va_stages"),
+        ("vocabulary", "red", "a vocabulary needs at least two color names"),
+        ("vocabulary", ",", "empty vocabulary spec"),
+        ("seed", "-1", "seed must be non-negative"),
+        ("va_channels", "-4,6", "va_channels widths must be at least 1"),
+        ("va_channels", "0,6", "va_channels widths must be at least 1"),
+        ("va_dec_channels", "6,-4", "va_dec_channels widths must be at least 1"),
     ])
     def test_bad_settings_are_exit_4(self, synthed, capsys, key, value,
                                      message):
@@ -260,6 +288,18 @@ class TestEvalCommand:
         metrics = (tmp_path / "ev2" / "metrics.txt").read_text()
         assert "image_accuracy" in metrics
         assert "pixel_accuracy" not in metrics
+
+    def test_one_missing_mask_is_exit_2_naming_it(self, synthed,
+                                                  fresh_checkpoint, capsys):
+        tmp_path, _ = synthed
+        path, _ = fresh_checkpoint
+        mask = next((tmp_path / "data" / "test" / "red").glob("*.mask.pgm"))
+        mask.unlink()
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path),
+                     "--out", str(tmp_path / "ev4")]) == EXIT_IO
+        assert f"missing mask {mask}" in capsys.readouterr().err
+        assert not (tmp_path / "ev4").exists()
 
     def test_vocabulary_mismatch_is_exit_4(self, synthed):
         tmp_path, cfg = synthed
@@ -415,6 +455,132 @@ def test_checkpoint_with_optimizer_records_loads_and_infers(tmp_path,
     for name in ("prediction.txt", "attention.ppm", "color_names.ppm"):
         assert (tmp_path / "inf-fresh" / name).read_bytes() == \
             (tmp_path / "inf-legacy" / name).read_bytes(), name
+
+
+_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_COMMENT = st.binary(max_size=8).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+_JUNK_TOKEN = st.binary(min_size=1, max_size=4).filter(
+    lambda t: t[:1] != b"#" and not any(bytes([c]).isspace() for c in t))
+_NETPBM_SIZE = (st.integers(1, 3) | st.integers(-2, 2**66)).map(
+    lambda n: str(n).encode()) | _JUNK_TOKEN
+_NETPBM_MAXVAL = st.just(b"255") | _NETPBM_SIZE
+
+
+@st.composite
+def _netpbm_files(draw):
+    """A file built from the P6 header grammar (magic; width, height and
+    maxval after whitespace and comment lines; one whitespace byte;
+    pixel data), any part of which may be wrong or missing. Returns the
+    bytes and whether they form a readable image."""
+    magic = b"P6" if draw(st.integers(0, 3)) else draw(
+        st.sampled_from([b"P5", b"P3", b"p6"]) | st.binary(max_size=2))
+    fields = [draw(_NETPBM_SIZE), draw(_NETPBM_SIZE), draw(_NETPBM_MAXVAL)]
+    fields = fields[:draw(st.sampled_from([0, 1, 2, 3, 3, 3]))]
+    raw = magic
+    for field in fields:
+        raw += b"".join(draw(st.lists(_SPACE, min_size=1, max_size=2)))
+        for comment in draw(st.lists(_COMMENT, max_size=2)):
+            raw += comment + b"".join(draw(st.lists(_SPACE, max_size=2)))
+        raw += field
+    end = draw(_SPACE | st.just(b"")) if len(fields) == 3 else b""
+    payload = draw(st.binary(max_size=60)) if end else b""
+    try:
+        width, height, maxval = (int(f) for f in fields)
+    except ValueError:  # a bad token, or fewer than three
+        return raw, False
+    readable = (magic == b"P6" and maxval == 255 and width >= 1
+                and height >= 1 and len(payload) >= width * height * 3)
+    return raw + end + payload, readable
+
+
+_ANY_VALUE = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+_TYPED_VALUE = {
+    "int": st.integers(-3, 100).map(str),
+    "float": st.floats().map(repr),
+    "str": st.sampled_from(["", "red", ",", "red,red", "synthetic6", "basic11",
+                            "4,6", "0,6", "-4,6", "16,32,64", "rectangle",
+                            "ellipse,", "triangle", "none", "no-prior"]),
+}
+
+
+@st.composite
+def _config_texts(draw):
+    """Up to four ``key = value`` lines, mostly distinct known keys with
+    values of their own type, now and then an unknown key or any value,
+    and maybe one line of arbitrary text."""
+    lines = []
+    for field in draw(st.lists(st.sampled_from(dataclasses.fields(RunConfig)),
+                               min_size=1, max_size=4,
+                               unique_by=lambda f: f.name)):
+        key = field.name if draw(st.integers(0, 7)) else draw(st.text(max_size=8))
+        value = draw(_TYPED_VALUE[field.type] if draw(st.integers(0, 3))
+                     else _ANY_VALUE)
+        lines.append(f"{key} = {value}")
+    if not draw(st.integers(0, 3)):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=16)))
+    return "\n".join(lines)
+
+
+_FUZZ = settings(max_examples=120, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzzedInputs:
+    """Whatever is wrong with an input file, the command prints an
+    ``error:`` line and exits 2 or 4; it never raises."""
+
+    @staticmethod
+    def _fails_cleanly(capsys, argv) -> str:
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) in (EXIT_IO, EXIT_CONFIG)
+        err = capsys.readouterr().err
+        assert "error:" in err
+        return err
+
+    @_FUZZ
+    @given(image=_netpbm_files())
+    def test_netpbm_header_through_infer(self, tmp_path, fresh_checkpoint,
+                                         capsys, image):
+        raw, readable = image
+        assume(not readable)
+        path = tmp_path / "fuzz.ppm"
+        path.write_bytes(raw)
+        err = self._fails_cleanly(capsys, ["infer", path, "--checkpoint",
+                                           fresh_checkpoint[0], "--out",
+                                           tmp_path / "inf"])
+        assert f"error: {path}: " in err
+        assert not (tmp_path / "inf").exists()
+
+    @_FUZZ
+    @given(text=_config_texts())
+    def test_config_text_through_synth(self, tmp_path, capsys, text):
+        # the keys that size the work are fixed (setting one again is a
+        # duplicate key); a config that passes every check gets as far as
+        # creating the output directory, which a file blocks
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text(f"{text}\nn_per_class = 1\nimage_size = 8\n"
+                       "clutter_patches = 1\ndistractors = 1\n",
+                       encoding="utf-8")
+        blocker = tmp_path / "blocker"
+        blocker.touch()
+        self._fails_cleanly(capsys, ["synth", "--config", cfg, "--out",
+                                     blocker / "data"])
+
+    @_FUZZ
+    @given(text=_config_texts())
+    def test_config_text_through_train(self, tmp_path, capsys, text):
+        # a config that passes every check finds no training images
+        empty = tmp_path / "empty"
+        empty.mkdir(exist_ok=True)
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text(f"{text}\ndataset_root = {empty}\n", encoding="utf-8")
+        self._fails_cleanly(capsys, ["train", "--config", cfg, "--out",
+                                     tmp_path / "run"])
+        assert not (tmp_path / "run").exists()
 
 
 class TestGradcheckCommand:

@@ -164,7 +164,6 @@ class TestVaForward:
         def loss():
             return tensor_sum(modulate(weights, AttentionMap(net.forward(image))))
 
-        net.set_trainable(True)
         loss().backward()
         assert kernel.grad.shape == (4, 4) and kernel.grad.any()
         assert finite_diff_check(loss, kernel) < 1e-4

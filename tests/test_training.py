@@ -189,6 +189,24 @@ class TestAlternatingTrain:
         # CN digest must change during its phase
         assert digests[0][1] != digests[1][1]
 
+    def test_a_phase_gives_gradients_to_its_own_branch_only(self):
+        cfg = _tiny_run_config(max_phases=2, convergence_tol=0.0)
+        weak, _ = _tiny_dataset(cfg)
+        cn, va = build_networks(cfg, len(cfg.vocab()))
+        with_grad = {}
+
+        def on_phase_end(phase_idx, phase, loss, epoch):
+            for net, branch in ((cn, "CN"), (va, "VA")):
+                with_grad[phase, branch] = {
+                    p.grad is not None for p in net.parameters().values()}
+                for p in net.parameters().values():
+                    p.grad = None
+
+        alternating_train(cn, va, weak["train"], cfg,
+                          on_phase_end=on_phase_end)
+        assert with_grad == {("VA", "VA"): {True}, ("VA", "CN"): {False},
+                             ("CN", "CN"): {True}, ("CN", "VA"): {False}}
+
     def test_no_attention_ablation_runs_cn_only(self):
         cfg = _tiny_run_config(ablation="no-attention", max_phases=2,
                                convergence_tol=0.0)
@@ -248,7 +266,7 @@ class TestAttentionScale:
         for gain in (1e-3, 1.0, 1e3):
             va_w.data[...] = w0 * gain
             va_b.data[...] = 0.05 * gain
-            cn.zero_grads()
+            head.grad = None
             _, attention, score = full_forward(cn, va, image)
             cross_entropy(score.y_hat, weak["train"][0].label).backward()
             a = attention.values.data.astype(np.float64)
@@ -450,8 +468,14 @@ class TestPersistence:
         assert y2.values.data.tobytes() == y.values.data.tobytes()
         assert a2.values.data.tobytes() == a.values.data.tobytes()
         assert score2.y_hat.data.tobytes() == score.y_hat.data.tobytes()
-        cn2.set_trainable(True)
-        assert all(not p.grad.any() for p in cn2.parameters().values())
+        nets = (cn, va, cn2, va2)
+        # forward passes without gradients allocate none
+        assert all(p.grad is None for net in nets
+                   for p in net.parameters().values())
+        cross_entropy(full_forward(cn2, None, image)[2].y_hat, 0).backward()
+        for net in nets:
+            for name, p in net.parameters().items():
+                assert (p.grad is not None) == (net is cn2), name
 
     def test_a_loaded_model_does_not_hold_the_file_buffer(self, tmp_path):
         import tracemalloc
