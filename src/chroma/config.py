@@ -131,8 +131,9 @@ class RunConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.convergence_tol < 0:
             raise ConfigError("convergence_tol must be non-negative")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        for name in ("seed", "clutter_patches", "distractors"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
         for name in ("resolution", "cn_batch_size", "va_batch_size",
                      "pretrain_epochs", "phase_epochs", "max_phases",
                      "cn_width", "va_stages", "va_fc_width",

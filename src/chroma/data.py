@@ -104,6 +104,9 @@ class SynthConfig:
             raise ValueError(f"scale_range {(lo, hi)} out of bounds")
         if self.jitter_sigma < 0 or self.center_sigma < 0:
             raise ValueError("sigmas must be non-negative")
+        if self.clutter_patches < 0 or self.distractors < 0:
+            raise ValueError("clutter_patches and distractors must be "
+                             "non-negative")
         if not self.shapes or any(s not in ("rectangle", "ellipse")
                                   for s in self.shapes):
             raise ValueError(f"unknown shape in {self.shapes}")

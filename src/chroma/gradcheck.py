@@ -24,7 +24,7 @@ from chroma.tensor import (
     Tensor,
     batchnorm,
     channel_softmax,
-    concat_channels,
+    conv1x1_concat,
     conv2d,
     cross_entropy,
     deconv2d,
@@ -124,16 +124,17 @@ def _op_checks() -> list[tuple[str, float, float]]:
                         lambda: cross_entropy(vector_softmax(xv), 2), xv),
                     OP_TOLERANCE))
 
-    ca = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
-    cb = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
-    wcat = Tensor(rng.normal(size=(1, 1, 4, 2)))
+    ha = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
+    hb = Tensor(rng.normal(size=(3, 3, 3)), requires_grad=True)
+    hk = Tensor(rng.normal(size=(1, 1, 5, 2)), requires_grad=True)
+    hbias = Tensor(rng.normal(size=2), requires_grad=True)
 
-    def concat_loss():
-        return tensor_sum(relu(conv2d(concat_channels(ca, cb), wcat,
-                                      Tensor(np.zeros(2)))))
+    def head_loss():
+        return tensor_sum(relu(conv1x1_concat(ha, hb, hk, hbias)))
 
-    for name, wrt in (("concat_channels/a", ca), ("concat_channels/b", cb)):
-        results.append((name, finite_diff_check(concat_loss, wrt), OP_TOLERANCE))
+    for name, wrt in (("conv1x1_concat/a", ha), ("conv1x1_concat/b", hb),
+                      ("conv1x1_concat/kernel", hk), ("conv1x1_concat/bias", hbias)):
+        results.append((name, finite_diff_check(head_loss, wrt), OP_TOLERANCE))
 
     xf = Tensor(rng.normal(size=5), requires_grad=True)
     wf = Tensor(rng.normal(size=(5, 3)), requires_grad=True)

@@ -2,8 +2,12 @@
 
 The color-naming branch (CnNet) is a shallow fully convolutional
 network: a 1x1 conv trunk, 3x3/2 max pool, 3x3/2 transposed conv back to
-input size, a 1x1 skip branch on the raw input, channel concatenation,
-a 1x1 classifier and a per-pixel softmax. At 227x227 the pool/upsample
+input size, a 1x1 skip branch on the raw input, a 1x1 classifier over
+the trunk and skip maps together, and a per-pixel softmax. The
+classifier's kernel has one row per channel of the two maps stacked
+(trunk first), as a conv over their channel concatenation would; it is
+applied as two products summed (:func:`~chroma.tensor.conv1x1_concat`),
+so the concatenated map is never built. At 227x227 the pool/upsample
 arithmetic is exact (227 -> 113 -> 227); for other sizes the ceil-mode
 pool covers the edge and the upsampled map is cropped back to the input
 size, so any input of at least 3x3 works.
@@ -52,7 +56,7 @@ from chroma.tensor import (
     _make_node,
     batchnorm,
     channel_softmax,
-    concat_channels,
+    conv1x1_concat,
     conv2d,
     crop_spatial,
     deconv2d,
@@ -230,7 +234,7 @@ class CnNet(_ParamStore):
         s = conv2d(x, p["skip.conv.w"], p["skip.conv.b"])
         s = relu(batchnorm(s, *self.skip_bn, mode=mode))
 
-        logits = conv2d(concat_channels(t, s), p["head.conv.w"], p["head.conv.b"])
+        logits = conv1x1_concat(t, s, p["head.conv.w"], p["head.conv.b"])
         return channel_softmax(logits)
 
 

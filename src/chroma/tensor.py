@@ -43,6 +43,7 @@ __all__ = [
     "channel_softmax",
     "vector_softmax",
     "concat_channels",
+    "conv1x1_concat",
     "slice_channels",
     "crop_spatial",
     "reshape",
@@ -452,6 +453,13 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     its own statistics would both discard absolute color information and
     leave the running averages unrepresentative of what training
     actually computed.
+
+    With the statistics fixed, the layer is the per-channel affine map
+    ``x * scale + shift``, where ``scale = gamma / sqrt(var + eps)`` and
+    ``shift = beta - mean * scale`` (Ioffe & Szegedy, 2015), computed as
+    one multiply and one in-place add over ``x``. The backward pass
+    forms ``x - mean`` only when ``gamma`` needs a gradient, from a copy
+    of the mean taken before ``online`` mode updates ``stats``.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     c = x.shape[-1]
@@ -463,14 +471,13 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
                          f"got {mode!r}")
     axes = tuple(range(x.data.ndim - 1))
 
-    # the running statistics, before this pass updates them
-    mu = stats.mean.astype(x.dtype, copy=False)
-    var = stats.var.astype(x.dtype, copy=False)
-    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat = x.data - mu
-    xhat *= inv_std
-    out = xhat * gamma.data
-    out += beta.data
+    # the running statistics, before this pass updates them in place
+    mu = stats.mean.astype(x.dtype, copy=True)
+    inv_std = 1.0 / np.sqrt(stats.var.astype(x.dtype, copy=False) + BN_EPSILON)
+    scale = gamma.data * inv_std
+    shift = beta.data - mu * scale
+    out = x.data * scale
+    out += shift
     if mode == "online":
         # folded in only now: the pass has normalized by the old values
         cur_mu = x.data.mean(axis=axes, keepdims=True)
@@ -483,13 +490,13 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
             if gamma.requires_grad:
-                _accum(gamma, (g * xhat).sum(axis=axes))
+                centered = x.data - mu
+                centered *= g
+                _accum(gamma, centered.sum(axis=axes) * inv_std)
             if beta.requires_grad:
                 _accum(beta, g.sum(axis=axes))
             if x.requires_grad:
-                dx = g * gamma.data
-                dx *= inv_std
-                _accum(x, dx)
+                _accum(x, g * scale)
         result._backward_fn = _backward
     return result
 
@@ -522,12 +529,42 @@ def _softmax_node(x: Tensor, axis: int, op: str) -> Tensor:
     return result
 
 
+def _plane_sum(planes: np.ndarray) -> np.ndarray:
+    """Sum of an [H,W,C] map over its channel planes, added in channel
+    order: below 8 channels this is the order of numpy's own reduction
+    over the last axis, which switches to blocked sums from 8 on."""
+    total = planes[:, :, 0].copy()
+    for ch in range(1, planes.shape[2]):
+        total += planes[:, :, ch]
+    return total
+
+
 def channel_softmax(x: Tensor) -> Tensor:
-    """Softmax along the channel axis of an [H,W,C] map."""
+    """Softmax along the channel axis of an [H,W,C] map.
+
+    The max and the sums over channels are taken plane by plane, one
+    vectorized pass over [H,W] per channel, instead of as reductions
+    over the short, contiguous last axis. Below 8 channels the output
+    is bit-identical to a last-axis reduction; from 8 on the sums are
+    added in a different order (a few float32 ulps).
+    """
     x = _as_tensor(x)
     if x.data.ndim != 3:
         raise ShapeError(f"channel_softmax: input must be [H,W,C], got {x.shape}")
-    return _softmax_node(x, axis=2, op="channel_softmax")
+    peak = x.data[:, :, 0].copy()
+    for ch in range(1, x.shape[2]):
+        np.maximum(peak, x.data[:, :, ch], out=peak)
+    p = x.data - peak[:, :, None]
+    np.exp(p, out=p)
+    p /= _plane_sum(p)[:, :, None]
+    result = _make_node(p, "channel_softmax", (x,))
+    if result.requires_grad:
+        def _backward(g: np.ndarray) -> None:
+            dx = g - _plane_sum(g * p)[:, :, None]
+            dx *= p
+            _accum(x, dx)
+        result._backward_fn = _backward
+    return result
 
 
 def vector_softmax(x: Tensor) -> Tensor:
@@ -555,6 +592,57 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
                 _accum(a, g[:, :, :ca], shared=True)
             if b.requires_grad:
                 _accum(b, g[:, :, ca:], shared=True)
+        result._backward_fn = _backward
+    return result
+
+
+def conv1x1_concat(a: Tensor, b: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """1x1 convolution of the channel concatenation of ``a`` and ``b``.
+
+    Computes ``conv2d(concat_channels(a, b), kernel, bias)`` for a
+    [1,1,Ca+Cb,Cout] kernel as ``a @ kernel[:Ca] + b @ kernel[Ca:] +
+    bias``, never building the [H,W,Ca+Cb] map. The sum over input
+    channels is split in two, so results differ from the concatenated
+    form in the last bits.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    kernel, bias = _as_tensor(kernel), _as_tensor(bias)
+    if a.data.ndim != 3 or b.data.ndim != 3:
+        raise ShapeError("conv1x1_concat: inputs must be [H,W,C]")
+    if a.shape[:2] != b.shape[:2]:
+        raise ShapeError(f"conv1x1_concat: spatial dims differ, {a.shape[:2]} vs "
+                         f"{b.shape[:2]}")
+    h, w, ca = a.shape
+    cb = b.shape[2]
+    if kernel.data.ndim != 4 or kernel.shape[:3] != (1, 1, ca + cb):
+        raise ShapeError(f"conv1x1_concat: kernel must be [1,1,{ca + cb},Cout], "
+                         f"got {kernel.shape}")
+    cout = kernel.shape[3]
+    if bias.shape != (cout,):
+        raise ShapeError(f"conv1x1_concat: bias shape {bias.shape} != ({cout},) "
+                         f"(kernel dim 3)")
+    a2d = a.data.reshape(h * w, ca)
+    b2d = b.data.reshape(h * w, cb)
+    kmat = kernel.data.reshape(ca + cb, cout)
+    ka, kb = kmat[:ca], kmat[ca:]
+    out2d = a2d @ ka
+    out2d += b2d @ kb
+    out2d += bias.data
+    result = _make_node(out2d.reshape(h, w, cout), "conv1x1_concat",
+                        (a, b, kernel, bias))
+
+    if result.requires_grad:
+        def _backward(g: np.ndarray) -> None:
+            g2 = g.reshape(h * w, cout)
+            if kernel.requires_grad:
+                dk = np.concatenate([a2d.T @ g2, b2d.T @ g2])
+                _accum(kernel, dk.reshape(kernel.shape))
+            if bias.requires_grad:
+                _accum(bias, g2.sum(axis=0))
+            if a.requires_grad:
+                _accum(a, (g2 @ ka.T).reshape(h, w, ca))
+            if b.requires_grad:
+                _accum(b, (g2 @ kb.T).reshape(h, w, cb))
         result._backward_fn = _backward
     return result
 

@@ -124,3 +124,72 @@ def fc_loops(x, weights, bias):
 def inner(a, b):
     """Flat inner product, used for adjoint checks."""
     return float((np.asarray(a) * np.asarray(b)).sum())
+
+
+def batchnorm_loops(x, gamma, beta, mean, var, eps=1e-5):
+    """Normalize each channel by the given statistics. x: [H,W,C]."""
+    h, w, c = x.shape
+    out = np.zeros_like(x)
+    for ch in range(c):
+        inv_std = 1.0 / np.sqrt(var[ch] + eps)
+        for i in range(h):
+            for j in range(w):
+                out[i, j, ch] = (x[i, j, ch] - mean[ch]) * inv_std * gamma[ch] \
+                    + beta[ch]
+    return out
+
+
+def running_stats_loops(x, mean, var, decay=0.9):
+    """Fold the biased per-channel statistics of x into (mean, var)."""
+    h, w, c = x.shape
+    new_mean, new_var = np.zeros(c), np.zeros(c)
+    for ch in range(c):
+        acc = 0.0
+        for i in range(h):
+            for j in range(w):
+                acc += x[i, j, ch]
+        mu = acc / (h * w)
+        acc = 0.0
+        for i in range(h):
+            for j in range(w):
+                acc += (x[i, j, ch] - mu) ** 2
+        new_mean[ch] = decay * mean[ch] + (1.0 - decay) * mu
+        new_var[ch] = decay * var[ch] + (1.0 - decay) * acc / (h * w)
+    return new_mean, new_var
+
+
+def relu_loops(x):
+    out = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        out[idx] = x[idx] if x[idx] > 0.0 else 0.0
+    return out
+
+
+def channel_softmax_loops(x):
+    """Softmax over the channel axis of each pixel. x: [H,W,C]."""
+    h, w, c = x.shape
+    out = np.zeros_like(x)
+    for i in range(h):
+        for j in range(w):
+            peak = max(x[i, j, ch] for ch in range(c))
+            exps = [np.exp(x[i, j, ch] - peak) for ch in range(c)]
+            total = sum(exps)
+            for ch in range(c):
+                out[i, j, ch] = exps[ch] / total
+    return out
+
+
+def rms_normalize_loops(a):
+    """Scale an [H,W] map to unit root mean square (zero stays zero)."""
+    h, w = a.shape
+    acc = 0.0
+    for i in range(h):
+        for j in range(w):
+            acc += a[i, j] * a[i, j]
+    rms = np.sqrt(acc / (h * w))
+    out = np.zeros_like(a)
+    if rms > 0.0:
+        for i in range(h):
+            for j in range(w):
+                out[i, j] = a[i, j] / rms
+    return out

@@ -222,6 +222,7 @@ class TestCriterion5MaskedLossGating:
                   "exactly zero", changed == 0.0)
 
 
+@pytest.mark.slow
 class TestCriterion6SyntheticEndToEnd:
     def test_full_pipeline_reaches_accuracy_in_budget(self, default_run):
         m = default_run["metrics"]
@@ -234,6 +235,7 @@ class TestCriterion6SyntheticEndToEnd:
                    f"{m['pixel_accuracy']:.4f}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 class TestCriterion7AblationOrdering:
     def test_attention_and_alternation_help(self, tmp_path_factory):
         base = tmp_path_factory.mktemp("ablations")
@@ -265,6 +267,7 @@ class TestCriterion7AblationOrdering:
                    f"no-attn {no_attn:.3f}")
 
 
+@pytest.mark.slow
 class TestCriterion8AttentionLocalization:
     def test_trained_attention_concentrates_on_objects(self, default_run):
         m = default_run["metrics"]
@@ -276,6 +279,7 @@ class TestCriterion8AttentionLocalization:
                    f"mean IoU {m['attention_mean_iou']:.3f}")
 
 
+@pytest.mark.slow
 class TestCriterion9SpatialPrior:
     def test_learned_prior_centers_and_no_prior_hurts_off_center(
             self, default_run, tmp_path_factory):
@@ -319,6 +323,7 @@ class TestCriterion9SpatialPrior:
                f"margin {margin:+.3f}")
 
 
+@pytest.mark.slow
 class TestCriterion10Determinism:
     def test_byte_identical_runs_and_round_trip(self, tmp_path_factory):
         base = tmp_path_factory.mktemp("determinism")

@@ -101,6 +101,16 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("key", ["clutter_patches", "distractors"])
+    def test_negative_object_count_is_config_error(self, tmp_path, capsys, key):
+        cfg = _write_cfg(tmp_path, **{key: -2})
+        out = tmp_path / "negative"
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(out)]) == EXIT_CONFIG
+        assert f"error: {key} must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainCommand:
     def test_tiny_run_completes_and_writes_artifacts(self, synthed):
         tmp_path, cfg = synthed
@@ -231,6 +241,15 @@ class TestTrainCommand:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["clutter_patches", "distractors"])
+    def test_negative_object_count_is_config_error(self, synthed, capsys, key):
+        tmp_path, _ = synthed
+        cfg = _write_cfg(tmp_path, **{key: -3})
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"error: {key} must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_smoke_run_completes_within_a_minute(self, tmp_path):
@@ -587,7 +606,7 @@ class TestGradcheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["gradcheck"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "all 24 gradient checks passed" in out
+        assert "all 26 gradient checks passed" in out
 
     def test_corrupted_modulation_backward_is_caught(self, capsys, monkeypatch):
         # negative control: a modulate whose backward rule is wrong

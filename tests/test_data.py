@@ -197,6 +197,11 @@ class TestSynthGenerate:
         assert len(weak["val"]) == 10 * c
         assert len(test) == 20 * c
 
+    @pytest.mark.parametrize("key", ["clutter_patches", "distractors"])
+    def test_negative_object_count_is_rejected(self, key):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            SynthConfig(**{key: -1}).validate()
+
     def test_jitter_invariant_is_enforced(self):
         with pytest.raises(ValueError, match="jitter"):
             synth_generate(SynthConfig(jitter_sigma=0.2), 1)

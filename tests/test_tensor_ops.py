@@ -17,10 +17,12 @@ from chroma.tensor import (
     channel_softmax,
     vector_softmax,
     concat_channels,
+    conv1x1_concat,
     slice_channels,
     fully_connected,
     cross_entropy,
     tensor_sum,
+    _softmax_node,
 )
 
 from oracles import (
@@ -299,41 +301,67 @@ class TestBatchnorm:
 
 
 def _batchnorm_reference(x, gamma, beta, mean, var, mode, g):
-    """The straightforward composition: output, running statistics and
-    the gradients of x, gamma and beta for an output gradient g."""
+    """The affine composition written out: output, running statistics
+    and the gradients of x, gamma and beta for an output gradient g."""
     axes = (0, 1)
     inv_std = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x - mean) * inv_std
-    out = gamma * xhat + beta
+    scale = gamma * inv_std
+    shift = beta - mean * scale
+    out = x * scale + shift
+    dx = g * scale
+    dgamma = ((x - mean) * g).sum(axis=axes) * inv_std
     if mode == "online":
         mean = 0.9 * mean + (1.0 - 0.9) * x.mean(axis=axes)
         var = 0.9 * var + (1.0 - 0.9) * x.var(axis=axes)
-    dx = g * gamma * inv_std
-    return out, mean, var, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+    return out, mean, var, dx, dgamma, g.sum(axis=axes)
+
+
+def _batchnorm_case(dtype, seed=31):
+    rng = np.random.default_rng(seed)
+    x = (rng.normal(size=(9, 7, 5)) * 3.0 + 1.5).astype(dtype)
+    gamma = rng.normal(size=5).astype(dtype)
+    beta = rng.normal(size=5).astype(dtype)
+    mean = rng.normal(size=5).astype(dtype)
+    var = (rng.random(5) + 0.5).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    return x, gamma, beta, mean, var, g
+
+
+def _batchnorm_run(x, gamma, beta, stats, mode, g):
+    xt = Tensor(x, requires_grad=True)
+    gt = Tensor(gamma, requires_grad=True)
+    bt = Tensor(beta, requires_grad=True)
+    out = batchnorm(xt, gt, bt, stats, mode=mode)
+    out._backward_fn(g)
+    return out.data, xt.grad, gt.grad, bt.grad
 
 
 class TestBatchnormBytes:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["online", "eval"])
     def test_bit_equal_to_straightforward_composition(self, mode, dtype):
-        rng = np.random.default_rng(31)
-        x = (rng.normal(size=(9, 7, 5)) * 3.0 + 1.5).astype(dtype)
-        gamma = rng.normal(size=5).astype(dtype)
-        beta = rng.normal(size=5).astype(dtype)
-        mean = rng.normal(size=5).astype(dtype)
-        var = (rng.random(5) + 0.5).astype(dtype)
-        g = rng.normal(size=x.shape).astype(dtype)
+        x, gamma, beta, mean, var, g = _batchnorm_case(dtype)
         stats = RunningStats(mean.copy(), var.copy())
-        xt = Tensor(x, requires_grad=True)
-        gt = Tensor(gamma, requires_grad=True)
-        bt = Tensor(beta, requires_grad=True)
-        out = batchnorm(xt, gt, bt, stats, mode=mode)
-        out._backward_fn(g)
-        got = (out.data, stats.mean, stats.var, xt.grad, gt.grad, bt.grad)
+        out, dx, dgamma, dbeta = _batchnorm_run(x, gamma, beta, stats, mode, g)
+        got = (out, stats.mean, stats.var, dx, dgamma, dbeta)
         want = _batchnorm_reference(x, gamma, beta, mean, var, mode, g)
         for name, a, b in zip(("out", "mean", "var", "dx", "dgamma", "dbeta"),
                               got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_online_gradients_use_the_pre_update_statistics(self, dtype):
+        # the backward pass runs after online mode has folded x's
+        # statistics into ``stats``; it must still see the old ones, as
+        # eval mode on an untouched copy does
+        x, gamma, beta, mean, var, g = _batchnorm_case(dtype, seed=32)
+        online = RunningStats(mean.copy(), var.copy())
+        got = _batchnorm_run(x, gamma, beta, online, "online", g)
+        assert not np.array_equal(online.mean, mean)
+        assert not np.array_equal(online.var, var)
+        want = _batchnorm_run(x, gamma, beta, RunningStats(mean, var), "eval", g)
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, want):
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestActivations:
@@ -356,6 +384,77 @@ class TestActivations:
         p = vector_softmax(Tensor(np.array([1000.0, 1000.0, 0.0]))).data
         assert np.isfinite(p).all()
         assert abs(p.sum() - 1.0) < 1e-12
+
+
+def _softmax_pair(x, g):
+    """channel_softmax and the last-axis reduction form, each with the
+    input gradient for an output gradient g."""
+    runs = []
+    for op in (channel_softmax, lambda t: _softmax_node(t, 2, "reference")):
+        xt = Tensor(x, requires_grad=True)
+        out = op(xt)
+        out._backward_fn(g)
+        runs.append((out.data, xt.grad))
+    return runs
+
+
+class TestChannelSoftmaxPlanes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("classes", [2, 6, 7])
+    def test_bit_equal_to_last_axis_reduction_below_eight_classes(
+            self, classes, dtype):
+        rng = np.random.default_rng(classes)
+        x = (rng.normal(size=(13, 11, classes)) * 4.0).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        (p, dx), (want_p, want_dx) = _softmax_pair(x, g)
+        assert p.tobytes() == want_p.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+
+    def test_eleven_classes_within_a_few_ulps(self):
+        # basic11: from 8 classes on numpy sums the last axis in blocks
+        rng = np.random.default_rng(11)
+        x = (rng.normal(size=(64, 64, 11)) * 4.0).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        (p, dx), (want_p, want_dx) = _softmax_pair(x, g)
+        assert p.dtype == np.float32
+        assert np.abs(p - want_p).max() < 1e-6
+        assert np.abs(dx - want_dx).max() < 1e-5
+
+
+class TestConv1x1Concat:
+    def test_matches_conv_of_concatenation_with_all_gradients(self):
+        rng = np.random.default_rng(41)
+        a, b = rng.normal(size=(6, 5, 4)), rng.normal(size=(6, 5, 3))
+        k, bias = rng.normal(size=(1, 1, 7, 2)), rng.normal(size=2)
+        g = rng.normal(size=(6, 5, 2))
+        runs = []
+        for split in (True, False):
+            ts = [Tensor(v, requires_grad=True) for v in (a, b, k, bias)]
+            if split:
+                out = conv1x1_concat(*ts)
+                out._backward_fn(g)
+            else:
+                cat = concat_channels(ts[0], ts[1])
+                out = conv2d(cat, ts[2], ts[3])
+                out._backward_fn(g)
+                cat._backward_fn(cat.grad)
+            runs.append([out.data] + [t.grad for t in ts])
+        for name, got, want in zip(("out", "da", "db", "dkernel", "dbias"),
+                                   *runs):
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() < 1e-12, name
+
+    def test_shape_errors(self):
+        a, b = Tensor(np.zeros((2, 2, 1))), Tensor(np.zeros((2, 2, 2)))
+        with pytest.raises(ShapeError, match="spatial"):
+            conv1x1_concat(a, Tensor(np.zeros((3, 2, 2))),
+                           Tensor(np.zeros((1, 1, 3, 1))), Tensor(np.zeros(1)))
+        with pytest.raises(ShapeError, match="kernel"):
+            conv1x1_concat(a, b, Tensor(np.zeros((1, 1, 2, 1))),
+                           Tensor(np.zeros(1)))
+        with pytest.raises(ShapeError, match="bias"):
+            conv1x1_concat(a, b, Tensor(np.zeros((1, 1, 3, 1))),
+                           Tensor(np.zeros(2)))
 
 
 class TestConcatChannels:
