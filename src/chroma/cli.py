@@ -103,8 +103,6 @@ def _check_dataset_vocabulary(root: Path, vocab_names) -> None:
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    if cfg.n_per_class < 1:
-        raise ConfigError("n_per_class must be at least 1")
     out = Path(cfg.out_dir)
     synth = cfg.synth_config()
     try:
@@ -244,13 +242,13 @@ def cmd_infer(args) -> int:
     with no_grad():
         y, attention, score = full_forward(cn, va, image)
     attention_values = (np.ones((res, res)) if attention is None
-                        else attention.values.data)
+                        else attention.data)
     out = Path(getattr(args, "out", None) or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     write_ppm(out / "attention.ppm", render_heatmap(attention_values))
     anchors = np.asarray(vocab.anchors, dtype=np.uint8)
-    write_ppm(out / "color_names.ppm", anchors[y.argmax_map()])
+    write_ppm(out / "color_names.ppm", anchors[np.argmax(y.data, axis=2)])
     probs = score.probabilities()
     predicted = vocab.names[int(np.argmax(probs))]
     lines = [f"predicted = {predicted}"]

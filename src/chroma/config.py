@@ -137,7 +137,8 @@ class RunConfig:
         for name in ("resolution", "cn_batch_size", "va_batch_size",
                      "pretrain_epochs", "phase_epochs", "max_phases",
                      "cn_width", "va_stages", "va_fc_width",
-                     "va_bottleneck_channels", "image_size", "lr_decay_epochs"):
+                     "va_bottleneck_channels", "image_size", "lr_decay_epochs",
+                     "n_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         # VaNet's va_stages ceil-mode halvings must leave a grid of at

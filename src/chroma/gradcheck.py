@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chroma.modulation import AttentionMap, aggregate_scores, modulate, \
-    rms_normalize
-from chroma.networks import CnNet, ColorNameMap, VaNet, full_forward, \
-    masked_nll_loss
+from chroma.modulation import aggregate_scores, modulate, rms_normalize
+from chroma.networks import CnNet, VaNet, full_forward, masked_nll_loss
 from chroma.tensor import (
     RunningStats,
     Tensor,
@@ -148,21 +146,20 @@ def _op_checks() -> list[tuple[str, float, float]]:
         results.append((name, finite_diff_check(fc_loss, wrt), OP_TOLERANCE))
 
     ym = Tensor(rng.uniform(0.1, 1.0, size=(4, 4, 3)), requires_grad=True)
-    am = AttentionMap(Tensor(rng.uniform(0.1, 1.0, size=(4, 4)),
-                             requires_grad=True))
+    am = Tensor(rng.uniform(0.1, 1.0, size=(4, 4)), requires_grad=True)
 
     def mod_loss():
         return cross_entropy(aggregate_scores(modulate(ym, am)).y_hat, 1)
 
-    for name, wrt in (("modulate/scores", ym), ("modulate/attention", am.values)):
+    for name, wrt in (("modulate/scores", ym), ("modulate/attention", am)):
         results.append((name, finite_diff_check(mod_loss, wrt), OP_TOLERANCE))
 
     xn = Tensor(rng.uniform(0.1, 1.0, size=(4, 4)), requires_grad=True)
     feats_n = Tensor(rng.uniform(0.1, 1.0, size=(4, 4, 3)))
 
     def rms_loss():
-        a = AttentionMap(rms_normalize(xn))
-        return cross_entropy(aggregate_scores(modulate(feats_n, a)).y_hat, 1)
+        return cross_entropy(aggregate_scores(
+            modulate(feats_n, rms_normalize(xn))).y_hat, 1)
 
     results.append(("rms_normalize/input",
                     finite_diff_check(rms_loss, xn), OP_TOLERANCE))
@@ -172,7 +169,7 @@ def _op_checks() -> list[tuple[str, float, float]]:
     mask = (rng.uniform(size=(5, 5)) > 0.4).astype(np.uint8)
     results.append(("masked_nll_loss/map",
                     finite_diff_check(
-                        lambda: masked_nll_loss(ColorNameMap(ymap), mask, 2),
+                        lambda: masked_nll_loss(ymap, mask, 2),
                         ymap), OP_TOLERANCE))
     return results
 

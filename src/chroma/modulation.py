@@ -48,28 +48,12 @@ from chroma.tensor import (
 )
 
 __all__ = [
-    "AttentionMap",
     "ImageScore",
     "modulate",
     "rms_normalize",
     "aggregate_scores",
     "gaussian_kernel",
 ]
-
-
-@dataclass
-class AttentionMap:
-    """Single-channel non-negative relevance map over an image."""
-
-    values: Tensor  # [H, W]
-
-    def __post_init__(self):
-        if self.values.data.ndim != 2:
-            raise ShapeError(f"AttentionMap must be [H,W], got {self.values.shape}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
 
 
 @dataclass
@@ -98,14 +82,13 @@ def gaussian_kernel(size: int, sigma: float, dtype=np.float64) -> np.ndarray:
     return np.exp(-(d2[:, None] + d2[None, :]) / (2.0 * sigma * sigma)).astype(dtype)
 
 
-def modulate(y: Tensor, attention: AttentionMap) -> Tensor:
-    """Multiply every channel of ``y`` [H,W,C] by the attention map.
+def modulate(y: Tensor, a: Tensor) -> Tensor:
+    """Multiply every channel of ``y`` [H,W,C] by the map ``a`` [H,W].
 
     Maps from the attention branch have unit root mean square (see the
     module docstring); the spatial prior kernel that modulates the
     attention branch's bottleneck keeps its learned scale.
     """
-    a = attention.values
     if y.data.ndim != 3:
         raise ShapeError(f"modulate: score map must be [H,W,C], got {y.shape}")
     if a.shape != y.shape[:2]:

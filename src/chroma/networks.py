@@ -23,9 +23,11 @@ is a learned center-bias map over the bottleneck grid, one parameter
 bottleneck channel. At the default 64x64 resolution with three stages
 the bottleneck grid is 8x8 and the bottleneck widths are 512.
 
-:func:`full_forward` is the one path from an image to a color map, an
-attention map and an image score; without an attention branch it pools
-the unmodulated color map.
+:func:`full_forward` is the one path from an image to the color map
+(a [H,W,C] tensor, every pixel on the simplex), the attention map (a
+[H,W] tensor) and an image score; without an attention branch it pools
+the unmodulated color map. Both forwards take an [H,W,3] image with
+values in [0, 1], each with its own size rule.
 
 A network instance is single-writer during training; once loaded from a
 checkpoint, read-only inference may be shared freely.
@@ -35,12 +37,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from chroma.modulation import (
-    AttentionMap,
     ImageScore,
     aggregate_scores,
     gaussian_kernel,
@@ -67,26 +67,13 @@ from chroma.tensor import (
 )
 
 __all__ = [
-    "ColorNameMap",
     "CnNet",
     "VaNet",
-    "cn_forward",
     "full_forward",
     "masked_nll_loss",
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class ColorNameMap:
-    """Per-pixel probability distribution over the color vocabulary."""
-
-    values: Tensor  # [H,W,C], every pixel on the simplex
-
-    def argmax_map(self) -> np.ndarray:
-        """Per-pixel winning class index (ties to the lowest index)."""
-        return np.argmax(self.values.data, axis=2)
 
 
 def _xavier(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
@@ -168,9 +155,16 @@ class _ParamStore:
         return h.digest()
 
     def _wrap_image(self, image) -> Tensor:
-        if isinstance(image, Tensor):
-            return image
-        return Tensor(np.asarray(image, dtype=self.dtype))
+        """The image as a tensor, checked to be [H,W,3] with values in
+        [0, 1]; each network then checks its own size rule."""
+        x = image if isinstance(image, Tensor) else Tensor(
+            np.asarray(image, dtype=self.dtype))
+        if x.data.ndim != 3 or x.shape[2] != 3:
+            raise ShapeError(f"{type(self).__name__} expects an [H,W,3] image, "
+                             f"got {x.shape}")
+        if float(x.data.min()) < 0.0 or float(x.data.max()) > 1.0:
+            raise ValueError("image values must lie in [0, 1]")
+        return x
 
 
 class CnNet(_ParamStore):
@@ -206,20 +200,13 @@ class CnNet(_ParamStore):
         pooled = -(-(h - 3) // 2) + 1
         return pooled, (pooled - 1) * 2 + 3
 
-    def _validate(self, image: Tensor) -> None:
-        if image.data.ndim != 3 or image.shape[2] != 3:
-            raise ShapeError(f"CnNet expects an [H,W,3] image, got {image.shape}")
-        h, w = image.shape[:2]
+    def forward(self, image, train: bool = False) -> Tensor:
+        """Per-pixel color-name distribution [H,W,C] of an image."""
+        x = self._wrap_image(image)
+        h, w = x.shape[:2]
         if h < 3 or w < 3:
             raise ShapeError(f"CnNet input {h}x{w} too small; valid sizes are "
                              f"any H, W >= 3")
-        if float(image.data.min()) < 0.0 or float(image.data.max()) > 1.0:
-            raise ValueError("image values must lie in [0, 1]")
-
-    def forward(self, image, train: bool = False) -> Tensor:
-        x = self._wrap_image(image)
-        self._validate(x)
-        h, w = x.shape[:2]
         mode = "online" if train else "eval"
         p = self._params
 
@@ -308,19 +295,13 @@ class VaNet(_ParamStore):
         self._param("head.conv.b", (1,), np.zeros)
         self._built()
 
-    def _validate(self, image: Tensor) -> None:
-        if image.data.ndim != 3 or image.shape[2] != 3:
-            raise ShapeError(f"VaNet expects an [H,W,3] image, got {image.shape}")
-        r = self.resolution
-        if image.shape[:2] != (r, r):
-            raise ShapeError(f"VaNet was built for {r}x{r} inputs, got "
-                             f"{image.shape[0]}x{image.shape[1]}")
-        if float(image.data.min()) < 0.0 or float(image.data.max()) > 1.0:
-            raise ValueError("image values must lie in [0, 1]")
-
     def forward(self, image, train: bool = False) -> Tensor:
+        """Unit-RMS attention map [H,W] of an image."""
         x = self._wrap_image(image)
-        self._validate(x)
+        r = self.resolution
+        if x.shape[:2] != (r, r):
+            raise ShapeError(f"VaNet was built for {r}x{r} inputs, got "
+                             f"{x.shape[0]}x{x.shape[1]}")
         mode = "online" if train else "eval"
         p = self._params
 
@@ -335,7 +316,7 @@ class VaNet(_ParamStore):
         z = relu(fully_connected(z, p["fc2.w"], p["fc2.b"]))
         h = reshape(z, (g, g, self.bottleneck_channels))
         if self.use_prior:
-            h = modulate(h, AttentionMap(p["prior.kernel"]))
+            h = modulate(h, p["prior.kernel"])
         for i in range(self.stages):
             h = deconv2d(h, p[f"dec{i}.deconv.w"], stride=2)
             h = relu(batchnorm(h, *self.dec_bns[i], mode=mode))
@@ -345,35 +326,31 @@ class VaNet(_ParamStore):
         return rms_normalize(reshape(a, (self.resolution, self.resolution)))
 
 
-def cn_forward(net: CnNet, image, train: bool = False) -> ColorNameMap:
-    """Per-pixel color-name distribution for an image."""
-    return ColorNameMap(net.forward(image, train=train))
-
-
 def full_forward(cn: CnNet, va: VaNet | None, image, train: bool = False
-                 ) -> tuple[ColorNameMap, AttentionMap | None, ImageScore]:
+                 ) -> tuple[Tensor, Tensor | None, ImageScore]:
     """Run both branches and aggregate the modulated map into a score.
 
-    ``va=None`` means there is no attention branch: the score pools the
-    unmodulated color map and the attention is None. (Modulating by an
-    all-ones map would give bit-identical scores.)
+    Returns the color map [H,W,C], the attention map [H,W] and the
+    score. ``va=None`` means there is no attention branch: the score
+    pools the unmodulated color map and the attention is None.
+    (Modulating by an all-ones map would give bit-identical scores.)
     """
-    y_map = cn_forward(cn, image, train=train)
+    y = cn.forward(image, train=train)
     if va is None:
-        return y_map, None, aggregate_scores(y_map.values)
-    attention = AttentionMap(va.forward(image, train=train))
-    return y_map, attention, aggregate_scores(modulate(y_map.values, attention))
+        return y, None, aggregate_scores(y)
+    attention = va.forward(image, train=train)
+    return y, attention, aggregate_scores(modulate(y, attention))
 
 
-def masked_nll_loss(y_map: ColorNameMap, mask: np.ndarray, label: int) -> Tensor:
-    """Mean negative log-likelihood of ``label`` over salient pixels.
+def masked_nll_loss(y: Tensor, mask: np.ndarray, label: int) -> Tensor:
+    """Mean negative log-likelihood of ``label`` over the salient pixels
+    of a color map ``y`` [H,W,C].
 
     Pixels where the mask is zero contribute nothing (they are excluded
     from the computation entirely, so perturbing them leaves the loss
     bit-identical). An empty mask yields a constant zero loss with a
     logged warning.
     """
-    y = y_map.values if isinstance(y_map, ColorNameMap) else y_map
     if y.data.ndim != 3:
         raise ShapeError(f"masked_nll_loss: map must be [H,W,C], got {y.shape}")
     if mask.shape != y.shape[:2]:

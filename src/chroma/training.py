@@ -56,15 +56,8 @@ import numpy as np
 from chroma.checkpoint import read_checkpoint, write_checkpoint
 from chroma.config import ConfigError, RunConfig
 from chroma.data import EvalSample, WeakSample, resize_bilinear
-from chroma.modulation import AttentionMap, ImageScore, aggregate_scores, modulate
-from chroma.networks import (
-    CnNet,
-    ColorNameMap,
-    VaNet,
-    cn_forward,
-    full_forward,
-    masked_nll_loss,
-)
+from chroma.modulation import ImageScore, aggregate_scores, modulate
+from chroma.networks import CnNet, VaNet, full_forward, masked_nll_loss
 from chroma.saliency import binarize, compute_saliency
 from chroma.tensor import OptimizerState, Tensor, cross_entropy, no_grad, sgd_step
 
@@ -220,23 +213,26 @@ class _StageData:
 
 
 def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
-                phase: str, nets, params: Mapping[str, Tensor], image_loss,
-                batch_size: int, n_epochs: int, epoch: int, lr_origin: int,
-                cn: CnNet, va: VaNet | None) -> tuple[int, list[float]]:
-    """Run ``n_epochs`` SGD epochs of one stage or phase.
+                phase: str, nets, image_loss, batch_size: int, n_epochs: int,
+                epoch: int, lr_origin: int, cn: CnNet, va: VaNet | None
+                ) -> tuple[int, list[float]]:
+    """Run ``n_epochs`` SGD epochs of one stage or phase, training the
+    branches in ``nets`` (``cn``, ``va`` or both).
 
     ``image_loss(i)`` builds the loss graph of training image ``i``; a
     batch's per-image graphs are backpropagated one at a time with
-    ``seed=1/len(batch)`` and ``params`` (all of ``nets``' parameters)
-    start each batch without gradients and take one momentum step per
-    batch. The learning rate follows :func:`lr_at_epoch` on
-    ``epoch - lr_origin``. A non-finite loss or gradient restores
-    ``nets`` to the start of the epoch and raises
+    ``seed=1/len(batch)``. The parameters of ``nets``, named ``cn.*``
+    and ``va.*``, start each batch without gradients and take one
+    momentum step per batch. The learning rate follows
+    :func:`lr_at_epoch` on ``epoch - lr_origin``. A non-finite loss or
+    gradient restores ``nets`` to the start of the epoch and raises
     :class:`DivergenceError`. Each epoch logs its mean loss and the
     validation accuracy of the model ``(cn, va)``. Returns the next
     global epoch index and the epoch-mean losses.
     """
     what = "pretraining" if phase == "PRETRAIN" else f"{phase} phase"
+    params = {("cn." if net is cn else "va.") + k: p
+              for net in nets for k, p in net.parameters().items()}
     opt = OptimizerState(learning_rate=config.learning_rate,
                          momentum=config.momentum)
     epoch_losses = []
@@ -295,14 +291,13 @@ def pretrain_cn(cn: CnNet, train_samples: list[WeakSample], config: RunConfig,
     masks = [binarize(compute_saliency(img)) for img in data.images]
 
     def image_loss(i):
-        y = cn_forward(cn, data.images[i], train=True)
+        y = cn.forward(data.images[i], train=True)
         return masked_nll_loss(y, masks[i], data.labels[i])
 
     epoch, _ = _run_epochs(
-        config, data, log, phase="PRETRAIN", nets=[cn], params=cn.parameters(),
-        image_loss=image_loss, batch_size=config.cn_batch_size,
-        n_epochs=config.pretrain_epochs, epoch=start_epoch,
-        lr_origin=start_epoch, cn=cn, va=None)
+        config, data, log, phase="PRETRAIN", nets=[cn], image_loss=image_loss,
+        batch_size=config.cn_batch_size, n_epochs=config.pretrain_epochs,
+        epoch=start_epoch, lr_origin=start_epoch, cn=cn, va=None)
     return log, epoch
 
 
@@ -334,9 +329,9 @@ def _phase_loss(phase: str, cn: CnNet, attention: VaNet | None,
     if phase == "VA":
         colors = _cache_forward(cn, images)
         score = lambda i: aggregate_scores(modulate(
-            colors[i], AttentionMap(attention.forward(images[i], train=True))))
+            colors[i], attention.forward(images[i], train=True)))
     elif phase == "CN" and attention is not None:
-        maps = [AttentionMap(a) for a in _cache_forward(attention, images)]
+        maps = _cache_forward(attention, images)
         score = lambda i: aggregate_scores(modulate(
             cn.forward(images[i], train=True), maps[i]))
     else:  # JOINT, or a CN phase without an attention branch
@@ -380,12 +375,8 @@ def alternating_train(cn: CnNet, va: VaNet | None,
         else:
             phase = "VA" if phase_idx % 2 == 0 else "CN"
         trainable = {"VA": [va], "CN": [cn], "JOINT": [cn, va]}[phase]
-        params = {}
-        for net in trainable:
-            prefix = "cn." if net is cn else "va."
-            params.update({prefix + k: p for k, p in net.parameters().items()})
         epoch, epoch_losses = _run_epochs(
-            config, data, log, phase=phase, nets=trainable, params=params,
+            config, data, log, phase=phase, nets=trainable,
             image_loss=_phase_loss(phase, cn, va, data),
             batch_size=(config.cn_batch_size if phase == "CN"
                         else config.va_batch_size),
@@ -408,17 +399,17 @@ def alternating_train(cn: CnNet, va: VaNet | None,
 # metrics
 
 
-def pixel_accuracy(y_map: ColorNameMap, mask: np.ndarray,
-                   gt_labels: np.ndarray) -> float:
-    """Fraction of masked pixels whose argmax class matches the ground
-    truth. Accepts only a ColorNameMap: pixel-wise evaluation uses the
-    color-naming branch alone, never aggregated scores."""
-    if not isinstance(y_map, ColorNameMap):
-        raise TypeError("pixel_accuracy expects a ColorNameMap")
+def pixel_accuracy(y: Tensor, mask: np.ndarray, gt_labels: np.ndarray) -> float:
+    """Fraction of masked pixels whose argmax class in the color map
+    ``y`` [H,W,C] matches the ground truth. Accepts only such a map:
+    pixel-wise evaluation uses the color-naming branch alone, never
+    aggregated scores."""
+    if not isinstance(y, Tensor) or y.data.ndim != 3:
+        raise TypeError("pixel_accuracy expects a [H,W,C] color map tensor")
     sel = np.asarray(mask) > 0
     if not sel.any():
         raise ValueError("pixel_accuracy: mask is empty")
-    pred = y_map.argmax_map()
+    pred = np.argmax(y.data, axis=2)
     gt = np.broadcast_to(np.asarray(gt_labels), pred.shape)
     return float((pred[sel] == gt[sel]).mean())
 
@@ -442,14 +433,15 @@ class LocalizationStats:
     iou_at_mean_threshold: float
 
 
-def attention_localization(attention: AttentionMap,
+def attention_localization(attention: Tensor,
                            gt_mask: np.ndarray) -> LocalizationStats:
-    """How well the attention map concentrates on the object mask."""
+    """How well the attention map ``attention`` [H,W] concentrates on the
+    object mask."""
     mask = np.asarray(gt_mask) > 0
     if not mask.any() or mask.all():
         raise ValueError("attention_localization: mask must be non-empty and "
                          "not cover the whole image")
-    a = attention.values.data.astype(np.float64)
+    a = attention.data.astype(np.float64)
     inside = float(a[mask].mean())
     outside = float(a[~mask].mean())
     spread = a.max() - a.min()
@@ -495,7 +487,7 @@ def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
             scores.append(score)
             if isinstance(sample, EvalSample):
                 native = (y if sample.image.shape[:2] == img.shape[:2]
-                          else cn_forward(cn, sample.image.astype(TRAIN_DTYPE)))
+                          else cn.forward(sample.image.astype(TRAIN_DTYPE)))
                 pixel_accs.append(pixel_accuracy(native, sample.mask,
                                                  np.full(sample.mask.shape,
                                                          sample.label)))

@@ -18,8 +18,8 @@ import pytest
 from chroma.cli import EXIT_OK, main
 from chroma.config import parse_kv_text
 from chroma.gradcheck import run_suite
-from chroma.modulation import AttentionMap, aggregate_scores, modulate
-from chroma.networks import ColorNameMap, masked_nll_loss
+from chroma.modulation import aggregate_scores, modulate
+from chroma.networks import masked_nll_loss
 from chroma.tensor import Tensor, conv2d, channel_softmax, deconv2d, maxpool2d, \
     tensor_sum
 from chroma.training import load_model
@@ -114,11 +114,11 @@ class TestCriterion2ModulationBackwardRules:
     def test_literal_identities(self):
         rng = np.random.default_rng(0)
         y = Tensor(rng.uniform(size=(7, 9, 5)), requires_grad=True)
-        a = AttentionMap(Tensor(rng.uniform(size=(7, 9)), requires_grad=True))
+        a = Tensor(rng.uniform(size=(7, 9)), requires_grad=True)
         tensor_sum(modulate(y, a)).backward()
         channels_ok = all(
-            np.array_equal(y.grad[:, :, k], a.values.data) for k in range(5))
-        attention_ok = np.array_equal(a.values.grad, y.data.sum(axis=2))
+            np.array_equal(y.grad[:, :, k], a.data) for k in range(5))
+        attention_ok = np.array_equal(a.grad, y.data.sum(axis=2))
         report(2, "with all-ones upstream, grad(Y_k) == A and "
                   "grad(A) == sum_k Y_k, bitwise",
                channels_ok and attention_ok)
@@ -211,12 +211,11 @@ class TestCriterion5MaskedLossGating:
             mask = (rng.uniform(size=(8, 8)) > 0.6).astype(np.uint8)
             if not mask.any():
                 mask[0, 0] = 1
-            base = masked_nll_loss(ColorNameMap(Tensor(probs)), mask, 2).item()
+            base = masked_nll_loss(Tensor(probs), mask, 2).item()
             perturbed = probs.copy()
             off = ~mask.astype(bool)
             perturbed[off] = rng.dirichlet(np.ones(6), size=int(off.sum()))
-            after = masked_nll_loss(ColorNameMap(Tensor(perturbed)), mask,
-                                    2).item()
+            after = masked_nll_loss(Tensor(perturbed), mask, 2).item()
             changed = max(changed, abs(after - base))
         report(5, "perturbing mask-0 pixels changes the masked loss by "
                   "exactly zero", changed == 0.0)

@@ -233,6 +233,8 @@ class TestTrainCommand:
         ("va_channels", "-4,6", "va_channels widths must be at least 1"),
         ("va_channels", "0,6", "va_channels widths must be at least 1"),
         ("va_dec_channels", "6,-4", "va_dec_channels widths must be at least 1"),
+        ("n_per_class", "0", "error: n_per_class must be at least 1"),
+        ("n_per_class", "-5", "error: n_per_class must be at least 1"),
     ])
     def test_bad_settings_are_exit_4(self, synthed, capsys, key, value,
                                      message):
@@ -465,7 +467,7 @@ def test_checkpoint_with_optimizer_records_loads_and_infers(tmp_path,
         cn, va, _, _ = load_model(ckpt)
         with no_grad():
             y, a, score = full_forward(cn, va, read_ppm(image).astype(np.float32))
-        outputs.append((y.values.data.tobytes(), a.values.data.tobytes(),
+        outputs.append((y.data.tobytes(), a.data.tobytes(),
                         score.y_hat.data.tobytes()))
         out = tmp_path / f"inf-{ckpt.stem}"
         assert main(["infer", str(image), "--checkpoint", str(ckpt),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from chroma.modulation import (
-    AttentionMap,
     aggregate_scores,
     gaussian_kernel,
     modulate,
@@ -21,8 +20,7 @@ from chroma.tensor import (
 
 
 def _attention(arr, requires_grad=False):
-    return AttentionMap(Tensor(np.asarray(arr, dtype=np.float64),
-                               requires_grad=requires_grad))
+    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
 
 
 class TestModulate:
@@ -41,6 +39,11 @@ class TestModulate:
         with pytest.raises(ShapeError, match="spatial"):
             modulate(Tensor(np.ones((3, 3, 2))), _attention(np.ones((4, 3))))
 
+    @pytest.mark.parametrize("shape", [(3, 3, 1), (3,)])
+    def test_map_that_is_not_hw_rejected(self, shape):
+        with pytest.raises(ShapeError, match="spatial"):
+            modulate(Tensor(np.ones((3, 3, 2))), _attention(np.ones(shape)))
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
         y = Tensor(rng.uniform(0.1, 1.0, size=(4, 4, 3)), requires_grad=True)
@@ -50,7 +53,7 @@ class TestModulate:
             return cross_entropy(aggregate_scores(modulate(y, a)).y_hat, 1)
 
         assert finite_diff_check(loss, y) < 1e-4
-        assert finite_diff_check(loss, a.values) < 1e-4
+        assert finite_diff_check(loss, a) < 1e-4
 
     def test_backward_rule_literal_identity_for_channels(self):
         # with all-ones upstream, the gradient on channel k is exactly A
@@ -59,7 +62,7 @@ class TestModulate:
         a = _attention(rng.uniform(size=(5, 6)))
         tensor_sum(modulate(y, a)).backward()
         for k in range(4):
-            assert np.array_equal(y.grad[:, :, k], a.values.data)
+            assert np.array_equal(y.grad[:, :, k], a.data)
 
     def test_backward_rule_literal_identity_for_attention(self):
         # with all-ones upstream, the gradient on A is exactly sum_k Y_k
@@ -67,7 +70,7 @@ class TestModulate:
         y = Tensor(rng.uniform(size=(5, 6, 4)))
         a = _attention(rng.uniform(size=(5, 6)), requires_grad=True)
         tensor_sum(modulate(y, a)).backward()
-        assert np.array_equal(a.values.grad, y.data.sum(axis=2))
+        assert np.array_equal(a.grad, y.data.sum(axis=2))
 
     def test_backward_accumulates_upstream_weighting(self):
         # general upstream: grad(A) == sum_k upstream_k * Y_k
@@ -77,7 +80,7 @@ class TestModulate:
         out = modulate(y, a)
         g = rng.normal(size=out.shape)
         out._backward_fn(g)
-        assert np.allclose(a.values.grad, (g * y.data).sum(axis=2))
+        assert np.allclose(a.grad, (g * y.data).sum(axis=2))
 
     def test_zero_attention_zeroes_every_channel(self):
         feats = Tensor(np.random.default_rng(6).normal(size=(4, 4, 5)))

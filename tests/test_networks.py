@@ -4,15 +4,8 @@ composition, and the end-to-end gradient check on a micro network."""
 import numpy as np
 import pytest
 
-from chroma.modulation import AttentionMap, aggregate_scores, modulate
-from chroma.networks import (
-    CnNet,
-    ColorNameMap,
-    VaNet,
-    cn_forward,
-    full_forward,
-    masked_nll_loss,
-)
+from chroma.modulation import aggregate_scores, modulate
+from chroma.networks import CnNet, VaNet, full_forward, masked_nll_loss
 from chroma.tensor import (
     ShapeError,
     Tensor,
@@ -31,15 +24,15 @@ class TestCnForward:
     def test_output_is_per_pixel_simplex(self):
         rng = np.random.default_rng(0)
         net = CnNet(num_classes=5, width=8, seed=1)
-        y = cn_forward(net, _image(rng, 11, 13))
-        assert y.values.shape == (11, 13, 5)
-        sums = y.values.data.sum(axis=2)
+        y = net.forward(_image(rng, 11, 13))
+        assert y.shape == (11, 13, 5)
+        sums = y.data.sum(axis=2)
         assert np.abs(sums - 1.0).max() < 1e-6
 
     def test_constant_image_gives_spatially_constant_output_at_init(self):
         net = CnNet(num_classes=4, width=8, seed=2)
-        y = cn_forward(net, np.full((9, 9, 3), 0.6))
-        dev = np.abs(y.values.data - y.values.data[0, 0]).max()
+        y = net.forward(np.full((9, 9, 3), 0.6))
+        dev = np.abs(y.data - y.data[0, 0]).max()
         assert dev < 1e-3
 
     def test_table_geometry_is_exact_at_227(self):
@@ -53,24 +46,34 @@ class TestCnForward:
     def test_even_sizes_work_via_crop(self):
         rng = np.random.default_rng(3)
         net = CnNet(num_classes=3, width=6, seed=3)
-        y = cn_forward(net, _image(rng, 16, 16))
-        assert y.values.shape == (16, 16, 3)
+        y = net.forward(_image(rng, 16, 16))
+        assert y.shape == (16, 16, 3)
 
     def test_too_small_input_lists_valid_sizes(self):
         net = CnNet(num_classes=3, width=6, seed=4)
         with pytest.raises(ShapeError, match="valid sizes"):
-            cn_forward(net, np.zeros((2, 2, 3)))
+            net.forward(np.zeros((2, 2, 3)))
 
     def test_out_of_range_values_rejected(self):
         net = CnNet(num_classes=3, width=6, seed=5)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            cn_forward(net, np.full((5, 5, 3), 1.5))
+            net.forward(np.full((5, 5, 3), 1.5))
+
+
+@pytest.mark.parametrize("net", [
+    CnNet(num_classes=3, width=6, seed=22),
+    VaNet(resolution=8, stages=1, channels=(4,), fc_width=16,
+          bottleneck_channels=2, dec_channels=(3,), seed=23),
+], ids=["CnNet", "VaNet"])
+def test_non_rgb_image_rejected(net):
+    with pytest.raises(ShapeError, match=f"{type(net).__name__} expects "
+                       "an \\[H,W,3\\] image"):
+        net.forward(np.zeros((8, 8, 1)))
 
 
 class TestMaskedNllLoss:
     def _uniform_map(self, h, w, c, requires_grad=False):
-        return ColorNameMap(Tensor(np.full((h, w, c), 1.0 / c),
-                                   requires_grad=requires_grad))
+        return Tensor(np.full((h, w, c), 1.0 / c), requires_grad=requires_grad)
 
     def test_empty_mask_gives_zero(self):
         loss = masked_nll_loss(self._uniform_map(4, 4, 11),
@@ -87,11 +90,11 @@ class TestMaskedNllLoss:
         probs = rng.dirichlet(np.ones(5), size=(6, 6))
         mask = np.zeros((6, 6), dtype=np.uint8)
         mask[1:3, 1:4] = 1
-        base = masked_nll_loss(ColorNameMap(Tensor(probs)), mask, 2).item()
+        base = masked_nll_loss(Tensor(probs), mask, 2).item()
         perturbed = probs.copy()
         perturbed[4, 4] = rng.dirichlet(np.ones(5))
         perturbed[0, 5] = rng.dirichlet(np.ones(5))
-        after = masked_nll_loss(ColorNameMap(Tensor(perturbed)), mask, 2).item()
+        after = masked_nll_loss(Tensor(perturbed), mask, 2).item()
         assert base == after  # bit-identical
 
     def test_gradient_matches_finite_differences(self):
@@ -101,7 +104,7 @@ class TestMaskedNllLoss:
         mask = (rng.uniform(size=(5, 5)) > 0.5).astype(np.uint8)
 
         def loss():
-            return masked_nll_loss(ColorNameMap(y), mask, 1)
+            return masked_nll_loss(y, mask, 1)
 
         assert finite_diff_check(loss, y) < 1e-4
 
@@ -110,7 +113,7 @@ class TestMaskedNllLoss:
         y = Tensor(rng.dirichlet(np.ones(3), size=(4, 4)), requires_grad=True)
         mask = np.zeros((4, 4), dtype=np.uint8)
         mask[0, 0] = 1
-        masked_nll_loss(ColorNameMap(y), mask, 0).backward()
+        masked_nll_loss(y, mask, 0).backward()
         grads_elsewhere = y.grad.copy()
         grads_elsewhere[0, 0, :] = 0.0
         assert not grads_elsewhere.any()
@@ -138,7 +141,7 @@ class TestVaForward:
         va.parameters()["head.conv.b"].data[...] = 0.0
         cn = CnNet(num_classes=4, width=6, seed=8)
         _, attention, score = full_forward(cn, va, _image(rng, 16, 16))
-        assert not attention.values.data.any()
+        assert not attention.data.any()
         assert np.abs(score.y_hat.data - 0.25).max() < 1e-12
 
     def test_gradient_reaches_every_parameter_including_prior(self):
@@ -162,7 +165,7 @@ class TestVaForward:
         kernel = net.parameters()["prior.kernel"]
 
         def loss():
-            return tensor_sum(modulate(weights, AttentionMap(net.forward(image))))
+            return tensor_sum(modulate(weights, net.forward(image)))
 
         loss().backward()
         assert kernel.grad.shape == (4, 4) and kernel.grad.any()
@@ -187,6 +190,12 @@ class TestVaForward:
         with pytest.raises(ShapeError, match="16x16"):
             net.forward(np.zeros((8, 8, 3)))
 
+    def test_out_of_range_values_rejected(self):
+        net = VaNet(resolution=8, stages=1, channels=(4,), fc_width=16,
+                    bottleneck_channels=2, dec_channels=(3,), seed=10)
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            net.forward(np.full((8, 8, 3), -0.5))
+
     def test_no_prior_variant_has_no_prior_parameter(self):
         net = VaNet(resolution=8, stages=1, channels=(4,), fc_width=16,
                     bottleneck_channels=2, dec_channels=(3,), use_prior=False,
@@ -205,10 +214,10 @@ class TestFullForward:
         rng = np.random.default_rng(14)
         cn, va = self._nets()
         image = _image(rng, 16, 16)
-        y = cn_forward(cn, image)
-        unit = AttentionMap(Tensor(np.ones((16, 16))))
-        via_modulation = aggregate_scores(modulate(y.values, unit))
-        direct = aggregate_scores(y.values)
+        y = cn.forward(image)
+        unit = Tensor(np.ones((16, 16)))
+        via_modulation = aggregate_scores(modulate(y, unit))
+        direct = aggregate_scores(y)
         assert np.array_equal(via_modulation.y_hat.data, direct.y_hat.data)
 
     def test_without_attention_branch_pools_the_unmodulated_map(self):
@@ -218,15 +227,15 @@ class TestFullForward:
         y_map, attention, score = full_forward(cn, None, image)
         assert attention is None
         assert score.y_hat.data.tobytes() == \
-            aggregate_scores(cn_forward(cn, image).values).y_hat.data.tobytes()
-        assert y_map.values.data.tobytes() == \
-            cn_forward(cn, image).values.data.tobytes()
+            aggregate_scores(cn.forward(image)).y_hat.data.tobytes()
+        assert y_map.data.tobytes() == \
+            cn.forward(image).data.tobytes()
 
     def test_one_hot_map_with_positive_attention_wins(self):
         rng = np.random.default_rng(15)
         onehot = np.zeros((8, 8, 5))
         onehot[:, :, 3] = 1.0
-        a = AttentionMap(Tensor(rng.uniform(0.1, 1.0, size=(8, 8))))
+        a = Tensor(rng.uniform(0.1, 1.0, size=(8, 8)))
         score = aggregate_scores(modulate(Tensor(onehot), a))
         assert score.argmax() == 3
 
@@ -235,11 +244,22 @@ class TestFullForward:
         cn, va = self._nets()
         image = _image(rng, 16, 16)
         y_map, attention, score = full_forward(cn, va, image)
-        modulated = y_map.values.data * attention.values.data[:, :, None]
+        modulated = y_map.data * attention.data[:, :, None]
         means = modulated.mean(axis=(0, 1))
         e = np.exp(means - means.max())
         want = e / e.sum()
         assert np.abs(score.y_hat.data - want).max() < 1e-9
+
+    def test_returns_plain_tensors(self):
+        rng = np.random.default_rng(21)
+        cn, va = self._nets(c=5)
+        image = _image(rng, 16, 16)
+        y, attention, _ = full_forward(cn, va, image)
+        assert type(y) is Tensor and y.shape == (16, 16, 5)
+        assert type(attention) is Tensor and attention.shape == (16, 16)
+        y, attention, _ = full_forward(cn, None, image)
+        assert type(y) is Tensor and y.shape == (16, 16, 5)
+        assert attention is None
 
     def test_deterministic_under_no_grad(self):
         rng = np.random.default_rng(17)

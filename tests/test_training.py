@@ -6,8 +6,8 @@ import pytest
 
 from chroma.config import ConfigError, RunConfig
 from chroma.data import SynthConfig, synth_generate
-from chroma.modulation import AttentionMap, ImageScore
-from chroma.networks import ColorNameMap, cn_forward, full_forward
+from chroma.modulation import ImageScore
+from chroma.networks import full_forward
 from chroma.tensor import Tensor, cross_entropy, no_grad
 from chroma.training import (
     DivergenceError,
@@ -77,8 +77,8 @@ class TestPretrain:
         sample = weak["train"][0]
         mask = binarize(compute_saliency(sample.image)).astype(bool)
         with no_grad():
-            y = cn_forward(cn, sample.image.astype(np.float32))
-        assert (y.argmax_map()[mask] == 0).mean() > 0.95
+            y = cn.forward(sample.image.astype(np.float32))
+        assert (np.argmax(y.data, axis=2)[mask] == 0).mean() > 0.95
 
     def test_zero_jitter_pretraining_reaches_99_percent_masked_pixels(self):
         # pure anchor-colored objects: the color branch alone must nail
@@ -93,12 +93,12 @@ class TestPretrain:
         accs, centers_ok = [], 0
         with no_grad():
             for s in test:
-                y = cn_forward(cn, s.image.astype(np.float32))
+                y = cn.forward(s.image.astype(np.float32))
                 accs.append(pixel_accuracy(y, s.mask,
                                            np.full(s.mask.shape, s.label)))
                 ys, xs = np.nonzero(s.mask)
                 cy, cx = int(ys.mean()), int(xs.mean())
-                centers_ok += y.argmax_map()[cy, cx] == s.label
+                centers_ok += np.argmax(y.data, axis=2)[cy, cx] == s.label
         assert np.mean(accs) >= 0.99
         # object centers decode to the generator label on nearly all images
         assert centers_ok >= 0.95 * len(test)
@@ -269,7 +269,7 @@ class TestAttentionScale:
             head.grad = None
             _, attention, score = full_forward(cn, va, image)
             cross_entropy(score.y_hat, weak["train"][0].label).backward()
-            a = attention.values.data.astype(np.float64)
+            a = attention.data.astype(np.float64)
             results.append((score.y_hat.data.copy(), head.grad.copy(),
                             float(np.sqrt(np.mean(a * a)))))
         for y_hat, grad, _ in results[1:]:
@@ -306,7 +306,7 @@ class TestMetrics:
         probs[0, 1, 0] = 1.0  # wrong
         probs[1, 0, 1] = 1.0  # correct
         probs[1, 1, 2] = 1.0  # wrong
-        y = ColorNameMap(Tensor(probs))
+        y = Tensor(probs)
         gt = np.full((2, 2), 1)
         assert pixel_accuracy(y, np.ones((2, 2)), gt) == 0.5
         assert pixel_accuracy(y, np.array([[1, 0], [1, 0]]), gt) == 1.0
@@ -318,8 +318,13 @@ class TestMetrics:
         with pytest.raises(TypeError):
             pixel_accuracy(score, np.ones((2, 2)), np.zeros((2, 2)))
 
+    def test_pixel_accuracy_rejects_a_score_vector(self):
+        with pytest.raises(TypeError):
+            pixel_accuracy(Tensor(np.array([0.5, 0.5])), np.ones((2, 2)),
+                           np.zeros((2, 2)))
+
     def test_pixel_accuracy_rejects_empty_mask(self):
-        y = ColorNameMap(Tensor(np.full((2, 2, 2), 0.5)))
+        y = Tensor(np.full((2, 2, 2), 0.5))
         with pytest.raises(ValueError, match="empty"):
             pixel_accuracy(y, np.zeros((2, 2)), np.zeros((2, 2)))
 
@@ -339,7 +344,7 @@ class TestMetrics:
     def test_attention_localization_perfect_match(self):
         mask = np.zeros((4, 4), dtype=np.uint8)
         mask[1:3, 1:3] = 1
-        a = AttentionMap(Tensor(mask.astype(np.float64)))
+        a = Tensor(mask.astype(np.float64))
         stats = attention_localization(a, mask)
         assert stats.iou_at_mean_threshold == 1.0
         assert stats.outside_mean == 0.0
@@ -348,7 +353,7 @@ class TestMetrics:
     def test_attention_localization_constant_map(self):
         mask = np.zeros((4, 4), dtype=np.uint8)
         mask[0, 0] = 1
-        a = AttentionMap(Tensor(np.full((4, 4), 0.7)))
+        a = Tensor(np.full((4, 4), 0.7))
         stats = attention_localization(a, mask)
         assert abs(stats.inside_mean - stats.outside_mean) < 1e-12
 
@@ -366,7 +371,7 @@ class TestMetrics:
         assert metrics["attention_ratio_ge_2_fraction"] == 0.0
 
     def test_attention_localization_rejects_degenerate_masks(self):
-        a = AttentionMap(Tensor(np.ones((4, 4))))
+        a = Tensor(np.ones((4, 4)))
         with pytest.raises(ValueError):
             attention_localization(a, np.zeros((4, 4)))
         with pytest.raises(ValueError):
@@ -397,7 +402,7 @@ class TestEvaluateModel:
         # the pixel accuracy a separate native-size pass gives
         with no_grad():
             want = np.mean([pixel_accuracy(
-                cn_forward(cn, s.image.astype(np.float32)), s.mask,
+                cn.forward(s.image.astype(np.float32)), s.mask,
                 np.full(s.mask.shape, s.label)) for s in test])
         assert metrics["pixel_accuracy"] == float(want)
 
@@ -465,8 +470,8 @@ class TestPersistence:
         with no_grad():
             y, a, score = full_forward(cn, va, image)
             y2, a2, score2 = full_forward(cn2, va2, image)
-        assert y2.values.data.tobytes() == y.values.data.tobytes()
-        assert a2.values.data.tobytes() == a.values.data.tobytes()
+        assert y2.data.tobytes() == y.data.tobytes()
+        assert a2.data.tobytes() == a.data.tobytes()
         assert score2.y_hat.data.tobytes() == score.y_hat.data.tobytes()
         nets = (cn, va, cn2, va2)
         # forward passes without gradients allocate none
