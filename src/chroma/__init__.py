@@ -1,9 +1,9 @@
 """Weakly supervised color naming with a learned visual-attention branch.
 
 ``CHROMA_THREADS`` caps the BLAS thread pools (1 = fully deterministic
-mode). It is copied into the BLAS variables here, before this package
-imports numpy, since the pools are sized when numpy loads; a BLAS
-variable that is already set wins.
+mode). It is copied into the BLAS variables here, before any chroma
+module imports numpy, since the pools are sized when numpy loads; a
+BLAS variable that is already set wins.
 """
 
 import os
@@ -18,25 +18,5 @@ def _cap_blas_threads() -> None:
 
 
 _cap_blas_threads()
-
-from chroma.tensor import (  # noqa: E402  (the cap must precede numpy)
-    Tensor,
-    ShapeError,
-    OptimizerState,
-    no_grad,
-    conv2d,
-    deconv2d,
-    maxpool2d,
-    global_avgpool,
-    batchnorm,
-    relu,
-    channel_softmax,
-    vector_softmax,
-    concat_channels,
-    fully_connected,
-    cross_entropy,
-    sgd_step,
-    finite_diff_check,
-)
 
 __version__ = "0.1.0"

@@ -39,13 +39,10 @@ from chroma.networks import full_forward
 from chroma.tensor import no_grad
 from chroma.training import (
     DivergenceError,
-    TrainLog,
-    alternating_train,
     build_networks,
     evaluate_model,
     load_model,
-    pretrain_cn,
-    save_model,
+    train,
 )
 
 EXIT_OK = 0
@@ -122,12 +119,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_counters(stage: str, phase_index: int, epoch: int,
-                    last_loss: float) -> dict:
-    return {"stage": stage, "phase_index": phase_index,
-            "global_epoch": epoch, "last_phase_loss": last_loss}
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     if not cfg.dataset_root:
@@ -139,10 +130,8 @@ def cmd_train(args) -> int:
     if not splits["train"]:
         raise ConfigError(f"no training images under {root}")
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
-    start_phase, start_epoch, last_loss = 0, 0, float("nan")
-    pretrained = False
+    counters = None
     if getattr(args, "checkpoint", None):
         cn, va, ckpt_cfg, counters = load_model(args.checkpoint)
         if ckpt_cfg.vocab().names != vocab.names:
@@ -154,45 +143,10 @@ def cmd_train(args) -> int:
                 raise ConfigError(f"--{key} {flag} differs from the "
                                   f"checkpoint's {key} {saved}")
         cfg = ckpt_cfg
-        stage = counters.get("stage", "pretrained")
-        pretrained = True
-        start_phase = int(counters.get("phase_index", 0))
-        start_epoch = int(counters.get("global_epoch", 0))
-        last_loss = float(counters.get("last_phase_loss", "nan"))
-        if stage == "final":
-            start_phase = max(start_phase, cfg.max_phases)
     else:
         cn, va = build_networks(cfg, len(vocab))
 
-    log = TrainLog()
-    try:
-        if not pretrained:
-            log, start_epoch = pretrain_cn(
-                cn, splits["train"], cfg, val_samples=splits["val"], log=log)
-            save_model(out / "pretrain.ckpt", cn, va, cfg,
-                       _train_counters("pretrained", 0, start_epoch,
-                                       float("nan")))
-
-        def on_phase_end(phase_idx, phase, loss, epoch):
-            nonlocal last_loss
-            last_loss = loss
-            save_model(out / f"phase_{phase_idx:02d}.ckpt", cn, va, cfg,
-                       _train_counters("alternating", phase_idx + 1, epoch,
-                                       loss))
-
-        log, end_epoch = alternating_train(
-            cn, va, splits["train"], cfg, val_samples=splits["val"],
-            log=log, start_epoch=start_epoch,
-            start_phase=start_phase, prev_phase_loss=last_loss,
-            on_phase_end=on_phase_end)
-    except DivergenceError as exc:
-        (out / "trainlog.txt").write_text(exc.log.as_table())
-        (out / "trainlog.kv").write_text(exc.log.as_kv())
-        raise
-    save_model(out / "final.ckpt", cn, va, cfg,
-               _train_counters("final", cfg.max_phases, end_epoch, last_loss))
-    (out / "trainlog.txt").write_text(log.as_table())
-    (out / "trainlog.kv").write_text(log.as_kv())
+    log = train(cn, va, splits, cfg, out, counters)
     print(f"training complete: {len(log.records)} epochs, checkpoints in {out}")
     if log.records:
         print(f"final val image accuracy: "

@@ -141,19 +141,6 @@ class _ParamStore:
     def stats(self) -> dict[str, RunningStats]:
         return dict(self._stats)
 
-    def state_digest(self) -> bytes:
-        """Hash of all parameters and statistics, for freeze contracts."""
-        import hashlib
-        h = hashlib.sha256()
-        for name in sorted(self._params):
-            h.update(name.encode())
-            h.update(self._params[name].data.tobytes())
-        for name in sorted(self._stats):
-            s = self._stats[name]
-            h.update(s.mean.tobytes())
-            h.update(s.var.tobytes())
-        return h.digest()
-
     def _wrap_image(self, image) -> Tensor:
         """The image as a tensor, checked to be [H,W,3] with values in
         [0, 1]; each network then checks its own size rule."""

@@ -1,24 +1,28 @@
-"""Training schedules, evaluation metrics, and model persistence.
+"""Training schedule, evaluation metrics, and model persistence.
 
-Training runs in two stages. First the color-naming branch is
-pretrained alone on saliency-masked negative log-likelihood (the only
-place that loss is used). Then the branches are trained alternately on
-the image-level cross entropy of the aggregated score: the attention
-branch first, with the color branch frozen, then the roles swap, until
-the relative change of the phase-mean loss drops below the tolerance or
-the phase budget runs out. Frozen parameters (and their batchnorm
-statistics) are bit-identical across the other branch's phase: the
-frozen branch's outputs cannot change, so they are precomputed once per
-phase under ``no_grad``, and only the trained branch's parameters are
-stepped. No gradient reaches the frozen branch.
+Training runs in two stages, both in :func:`train`, the one entry point.
+First the color-naming branch is pretrained alone on saliency-masked
+negative log-likelihood (the only place that loss is used). Then the
+branches are trained alternately on the image-level cross entropy of
+the aggregated score: the attention branch first, with the color branch
+frozen, then the roles swap, until the relative change of the
+phase-mean loss drops below the tolerance or the phase budget runs out.
+Frozen parameters (and their batchnorm statistics) are bit-identical
+across the other branch's phase: the frozen branch's outputs cannot
+change, so they are precomputed once per phase under ``no_grad``, and
+only the trained branch's parameters are stepped. No gradient reaches
+the frozen branch. :func:`train` writes a checkpoint after pretraining
+and after each phase; its ``resume.*`` counters say where the schedule
+goes on, so a run resumed from any checkpoint ends as the uninterrupted
+run does.
 
-Both stages take the :class:`RunConfig` and run their epochs through
-one loop (:func:`_run_epochs`): learning rate, shuffle, minibatches of
-per-image graphs, an SGD step per batch, a restore of the last good
-state on divergence, validation and a log row. Each stage supplies only
-its per-image loss and the parameters it steps. Every stage, and each
-phase within alternation, starts a fresh momentum buffer, so no
-optimizer state outlives a phase or goes into a checkpoint.
+Both stages run their epochs through one loop (:func:`_run_epochs`):
+learning rate, shuffle, minibatches of per-image graphs, an SGD step
+per batch, a restore of the last good state on divergence, validation
+and a log row. Each stage supplies only its per-image loss and the
+parameters it steps. Every stage, and each phase within alternation,
+starts a fresh momentum buffer, so no optimizer state outlives a phase
+or goes into a checkpoint.
 
 Step sizes: every phase steps with the same schedule. The attention
 branch emits maps of unit root mean square (see :class:`VaNet`), so the
@@ -50,6 +54,7 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -66,8 +71,7 @@ __all__ = [
     "TrainLog",
     "DivergenceError",
     "lr_at_epoch",
-    "pretrain_cn",
-    "alternating_train",
+    "train",
     "pixel_accuracy",
     "image_accuracy",
     "attention_localization",
@@ -83,10 +87,6 @@ TRAIN_DTYPE = np.float32
 
 class DivergenceError(RuntimeError):
     """Loss went non-finite; the networks hold the last good state."""
-
-    def __init__(self, message: str, log: "TrainLog"):
-        super().__init__(message)
-        self.log = log
 
 
 @dataclass
@@ -105,13 +105,6 @@ class TrainLog:
 
     def add(self, **kw) -> None:
         self.records.append(EpochRecord(**kw))
-
-    def phases_seen(self) -> list[str]:
-        out = []
-        for r in self.records:
-            if not out or out[-1] != r.phase:
-                out.append(r.phase)
-        return out
 
     def as_table(self) -> str:
         lines = [f"{'epoch':>5}  {'phase':<8}  {'loss':>12}  {'val_acc':>8}  "
@@ -190,7 +183,8 @@ def _validation_accuracy(cn: CnNet, va: VaNet | None, images, labels) -> float:
 
 @dataclass
 class _StageData:
-    """A training stage's images and labels at the training resolution."""
+    """The training and validation images, at the training resolution,
+    and their labels."""
 
     images: list[np.ndarray]
     labels: list[int]
@@ -216,8 +210,8 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
                 phase: str, nets, image_loss, batch_size: int, n_epochs: int,
                 epoch: int, lr_origin: int, cn: CnNet, va: VaNet | None
                 ) -> tuple[int, list[float]]:
-    """Run ``n_epochs`` SGD epochs of one stage or phase, training the
-    branches in ``nets`` (``cn``, ``va`` or both).
+    """Run ``n_epochs`` SGD epochs of pretraining or of one phase,
+    training the branches in ``nets`` (``cn``, ``va`` or both).
 
     ``image_loss(i)`` builds the loss graph of training image ``i``; a
     batch's per-image graphs are backpropagated one at a time with
@@ -256,12 +250,12 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
                 batch_losses.append(batch_loss)
         except FloatingPointError as exc:
             _restore(nets, good)
-            raise DivergenceError(f"{what} diverged at epoch {epoch}: {exc}",
-                                  log) from exc
+            raise DivergenceError(
+                f"{what} diverged at epoch {epoch}: {exc}") from exc
         mean_loss = float(np.mean(batch_losses))
         if not np.isfinite(mean_loss):
             _restore(nets, good)
-            raise DivergenceError(f"{what} diverged at epoch {epoch}", log)
+            raise DivergenceError(f"{what} diverged at epoch {epoch}")
         val_acc = _validation_accuracy(cn, va, data.val_images, data.val_labels)
         log.add(epoch=epoch, phase=phase, mean_loss=mean_loss,
                 val_image_accuracy=val_acc, learning_rate=opt.learning_rate,
@@ -272,37 +266,7 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
 
 
 # ---------------------------------------------------------------------------
-# pretraining
-
-
-def pretrain_cn(cn: CnNet, train_samples: list[WeakSample], config: RunConfig,
-                val_samples: list[WeakSample] = (), log: TrainLog | None = None,
-                start_epoch: int = 0) -> tuple[TrainLog, int]:
-    """Saliency-masked pretraining of the color-naming branch at
-    ``config.resolution``; each image's mask is its binarized saliency
-    field.
-
-    Returns the log and the next global epoch index. Raises
-    :class:`DivergenceError` (after restoring the last finite epoch's
-    state) if the loss goes non-finite.
-    """
-    data = _StageData.prepare(config, train_samples, val_samples)
-    log = log if log is not None else TrainLog()
-    masks = [binarize(compute_saliency(img)) for img in data.images]
-
-    def image_loss(i):
-        y = cn.forward(data.images[i], train=True)
-        return masked_nll_loss(y, masks[i], data.labels[i])
-
-    epoch, _ = _run_epochs(
-        config, data, log, phase="PRETRAIN", nets=[cn], image_loss=image_loss,
-        batch_size=config.cn_batch_size, n_epochs=config.pretrain_epochs,
-        epoch=start_epoch, lr_origin=start_epoch, cn=cn, va=None)
-    return log, epoch
-
-
-# ---------------------------------------------------------------------------
-# alternating end-to-end training
+# the training schedule
 
 
 def _cache_forward(net, images) -> list[Tensor]:
@@ -339,60 +303,112 @@ def _phase_loss(phase: str, cn: CnNet, attention: VaNet | None,
     return lambda i: cross_entropy(score(i).y_hat, data.labels[i])
 
 
-def alternating_train(cn: CnNet, va: VaNet | None,
-                      train_samples: list[WeakSample], config: RunConfig,
-                      val_samples: list[WeakSample] = (),
-                      log: TrainLog | None = None, start_epoch: int = 0,
-                      start_phase: int = 0,
-                      prev_phase_loss: float = float("nan"),
-                      on_phase_end=None) -> tuple[TrainLog, int]:
-    """Alternate VA and CN phases on the image-level cross entropy.
+def _resume_point(counters: Mapping[str, str], config: RunConfig
+                  ) -> tuple[int, int, float]:
+    """A checkpoint's resume counters as (phase index, global epoch,
+    last phase loss). A missing counter takes its start value; a
+    malformed one raises :class:`ConfigError` naming it."""
+    def read(key, parse, default, ok, what):
+        text = counters.get(key)
+        if text is None:
+            return default
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise ConfigError(f"checkpoint counter resume.{key} = {text} is "
+                          f"not {what}")
 
-    Stops when the relative change between consecutive phase-mean
-    losses falls below ``convergence_tol`` or after ``max_phases``
-    phases. Without an attention branch (``va=None``) every phase is a
-    CN phase. Returns the log and the next global epoch index.
+    return (read("phase_index", int, 0, lambda v: 0 <= v <= config.max_phases,
+                 f"an integer in [0, {config.max_phases}]"),
+            read("global_epoch", int, 0, lambda v: v >= 0,
+                 "a non-negative integer"),
+            read("last_phase_loss", float, float("nan"), lambda v: True,
+                 "a number"))
+
+
+def train(cn: CnNet, va: VaNet | None, splits: Mapping[str, list[WeakSample]],
+          config: RunConfig, out: Path,
+          counters: Mapping[str, str] | None = None) -> TrainLog:
+    """Run the training schedule on ``splits["train"]``, validating on
+    ``splits["val"]``, and write its files into the directory ``out``.
+
+    A fresh run (``counters`` is None) pretrains the color branch and
+    saves ``pretrain.ckpt``. A run resumed from a checkpoint's
+    ``counters`` (see :func:`load_model`) skips pretraining and starts
+    at the phase its ``phase_index`` names. Each alternation phase
+    saves ``phase_NN.ckpt`` after the convergence test; a phase that
+    converged records ``phase_index = max_phases``, so no phase is left
+    to resume. The run ends with ``final.ckpt``. ``trainlog.txt`` and
+    ``trainlog.kv`` hold the epochs this call ran; they are written
+    also when an error, such as :class:`DivergenceError`, ends the run.
     """
-    data = _StageData.prepare(config, train_samples, val_samples)
-    log = log if log is not None else TrainLog()
-    if start_phase == 0 and va is not None:
-        _calibrate_batchnorm(va, data.images)
+    phase_index, epoch, last_loss = _resume_point(counters or {}, config)
+    data = _StageData.prepare(config, splits["train"], splits["val"])
+    out.mkdir(parents=True, exist_ok=True)
 
-    # the lr counter spans the alternation phases; log epochs stay
-    # globally monotone across pretraining and phases
-    alternation_start = start_epoch - start_phase * config.phase_epochs
-    epoch = start_epoch
-    max_phases = config.max_phases
-    if config.ablation == "no-alternation":
-        # a joint epoch updates both branches, costing one CN plus one
-        # VA epoch; halving the phase budget keeps total compute equal
-        max_phases = (config.max_phases + 1) // 2
-    for phase_idx in range(start_phase, max_phases):
-        if va is None:
-            phase = "CN"
-        elif config.ablation == "no-alternation":
-            phase = "JOINT"
-        else:
-            phase = "VA" if phase_idx % 2 == 0 else "CN"
-        trainable = {"VA": [va], "CN": [cn], "JOINT": [cn, va]}[phase]
-        epoch, epoch_losses = _run_epochs(
-            config, data, log, phase=phase, nets=trainable,
-            image_loss=_phase_loss(phase, cn, va, data),
-            batch_size=(config.cn_batch_size if phase == "CN"
-                        else config.va_batch_size),
-            n_epochs=config.phase_epochs, epoch=epoch,
-            lr_origin=alternation_start, cn=cn, va=va)
+    def save(name, stage, next_phase):  # at the current epoch and loss
+        save_model(out / name, cn, va, config,
+                   {"stage": stage, "phase_index": next_phase,
+                    "global_epoch": epoch, "last_phase_loss": last_loss})
 
-        phase_loss = float(np.mean(epoch_losses))
-        if on_phase_end is not None:
-            on_phase_end(phase_idx, phase, phase_loss, epoch)
-        if np.isfinite(prev_phase_loss):
-            rel = abs(phase_loss - prev_phase_loss) / max(abs(prev_phase_loss),
-                                                          1e-12)
-            if rel < config.convergence_tol:
+    log = TrainLog()
+    try:
+        if counters is None:
+            masks = [binarize(compute_saliency(img)) for img in data.images]
+
+            def pretrain_loss(i):
+                y = cn.forward(data.images[i], train=True)
+                return masked_nll_loss(y, masks[i], data.labels[i])
+
+            epoch, _ = _run_epochs(
+                config, data, log, phase="PRETRAIN", nets=[cn],
+                image_loss=pretrain_loss, batch_size=config.cn_batch_size,
+                n_epochs=config.pretrain_epochs, epoch=0, lr_origin=0,
+                cn=cn, va=None)
+            save("pretrain.ckpt", "pretrained", 0)
+
+        if phase_index == 0 and va is not None:
+            _calibrate_batchnorm(va, data.images)
+        # the lr counter spans the alternation phases; log epochs stay
+        # globally monotone across pretraining and phases
+        lr_origin = epoch - phase_index * config.phase_epochs
+        n_phases = config.max_phases
+        if config.ablation == "no-alternation":
+            # a joint epoch updates both branches, costing one CN plus
+            # one VA epoch; halving the phase budget keeps compute equal
+            n_phases = (config.max_phases + 1) // 2
+        for idx in range(phase_index, n_phases):
+            if va is None:
+                phase = "CN"
+            elif config.ablation == "no-alternation":
+                phase = "JOINT"
+            else:
+                phase = "VA" if idx % 2 == 0 else "CN"
+            epoch, epoch_losses = _run_epochs(
+                config, data, log, phase=phase,
+                nets={"VA": [va], "CN": [cn], "JOINT": [cn, va]}[phase],
+                image_loss=_phase_loss(phase, cn, va, data),
+                batch_size=(config.cn_batch_size if phase == "CN"
+                            else config.va_batch_size),
+                n_epochs=config.phase_epochs, epoch=epoch,
+                lr_origin=lr_origin, cn=cn, va=va)
+            phase_loss = float(np.mean(epoch_losses))
+            converged = (np.isfinite(last_loss) and
+                         abs(phase_loss - last_loss) / max(abs(last_loss), 1e-12)
+                         < config.convergence_tol)
+            last_loss = phase_loss
+            save(f"phase_{idx:02d}.ckpt", "alternating",
+                 config.max_phases if converged else idx + 1)
+            if converged:
                 break
-        prev_phase_loss = phase_loss
-    return log, epoch
+        save("final.ckpt", "final", config.max_phases)
+    finally:
+        (out / "trainlog.txt").write_text(log.as_table())
+        (out / "trainlog.kv").write_text(log.as_kv())
+    return log
 
 
 # ---------------------------------------------------------------------------

@@ -149,26 +149,63 @@ class TestTrainCommand:
         assert main(resume + ["--seed", "2", "--ablation", "none"]) == EXIT_OK
         assert final.read_bytes() == before
 
-    def test_resume_from_any_phase_matches_the_uninterrupted_run(self, tmp_path):
+    @pytest.mark.parametrize("case, extra, checkpoints", [
         # a zero tolerance never stops by convergence, so all three
         # phase checkpoints exist; resuming from phase_02 has no phase left
-        cfg = _write_cfg(tmp_path, max_phases=3, convergence_tol=0)
+        ("none", dict(max_phases=3, convergence_tol=0), 3),
+        # an infinite tolerance stops at the first comparison, after
+        # phase_01 of 5; resuming from that checkpoint trains no more
+        ("none", dict(max_phases=5, convergence_tol="inf"), 2),
+        ("no-attention", {}, 2),
+        ("no-alternation", dict(max_phases=3, convergence_tol=0), 2),
+    ], ids=["every-phase", "converged", "no-attention", "no-alternation"])
+    def test_resume_from_any_phase_matches_the_uninterrupted_run(
+            self, tmp_path, case, extra, checkpoints):
+        cfg = _write_cfg(tmp_path, **extra)
         assert main(["synth", "--config", str(cfg), "--out",
                      str(tmp_path / "data")]) == EXIT_OK
-        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        assert main(["train", "--config", str(cfg), "--ablation",
+                     case]) == EXIT_OK
         run = tmp_path / "run"
+        phases = [f"phase_{i:02d}.ckpt" for i in range(checkpoints)]
+        assert sorted(p.name for p in run.glob("*.ckpt")) == \
+            ["final.ckpt"] + phases + ["pretrain.ckpt"]
         final = (run / "final.ckpt").read_bytes()
         log = [line for line in (run / "trainlog.kv").read_text().splitlines()
                if ".wall_time" not in line]
-        for phase in range(3):
-            out = tmp_path / f"resumed{phase}"
+        for name in ["pretrain.ckpt"] + phases:
+            out = tmp_path / f"resumed-{name}"
             assert main(["train", "--config", str(cfg), "--checkpoint",
-                         str(run / f"phase_{phase:02d}.ckpt"), "--out",
-                         str(out)]) == EXIT_OK
-            assert (out / "final.ckpt").read_bytes() == final, phase
+                         str(run / name), "--out", str(out)]) == EXIT_OK
+            assert (out / "final.ckpt").read_bytes() == final, name
             tail = [line for line in (out / "trainlog.kv").read_text().splitlines()
                     if line and ".wall_time" not in line]
-            assert log[len(log) - len(tail):] == tail, phase
+            assert log[len(log) - len(tail):] == tail, name
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("phase_index", "-3", "an integer in [0, 2]"),
+        ("phase_index", "3", "an integer in [0, 2]"),
+        ("phase_index", "abc", "an integer in [0, 2]"),
+        ("phase_index", "1.0", "an integer in [0, 2]"),
+        ("global_epoch", "-1", "a non-negative integer"),
+        ("global_epoch", "2x", "a non-negative integer"),
+        ("last_phase_loss", "abc", "a number"),
+    ])
+    def test_malformed_resume_counter_is_exit_4_naming_it(
+            self, synthed, fresh_checkpoint, capsys, key, value, what):
+        from chroma.checkpoint import read_checkpoint, write_checkpoint
+        tmp_path, cfg = synthed
+        path, _ = fresh_checkpoint
+        ckpt = read_checkpoint(path)
+        write_checkpoint(path, ckpt.vocabulary,
+                         ckpt.config_text + f"resume.{key} = {value}\n",
+                         ckpt.params)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--checkpoint",
+                     str(path)]) == EXIT_CONFIG
+        assert (f"error: checkpoint counter resume.{key} = {value} is not "
+                f"{what}") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_no_attention_model_is_the_color_branch_alone(self, synthed):
         from chroma.checkpoint import read_checkpoint, write_checkpoint
