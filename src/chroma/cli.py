@@ -51,6 +51,11 @@ EXIT_IO = 2
 EXIT_DIVERGENCE = 3
 EXIT_CONFIG = 4
 
+# the config keys a resumed run must share with its checkpoint
+SCHEDULE_KEYS = ("learning_rate", "lr_decay_epochs", "momentum", "cn_batch_size",
+                 "va_batch_size", "pretrain_epochs", "phase_epochs",
+                 "max_phases", "convergence_tol")
+
 
 def heatmap_colormap() -> np.ndarray:
     """Fixed 256-entry dark-blue to yellow colormap (uint8 RGB)."""
@@ -136,11 +141,15 @@ def cmd_train(args) -> int:
         cn, va, ckpt_cfg, counters = load_model(args.checkpoint)
         if ckpt_cfg.vocab().names != vocab.names:
             raise ConfigError("checkpoint vocabulary does not match the dataset")
-        # a resumed run trains the checkpoint's model
-        for key in ("seed", "ablation"):
-            flag, saved = getattr(args, key), getattr(ckpt_cfg, key)
-            if flag is not None and flag != saved:
-                raise ConfigError(f"--{key} {flag} differs from the "
+        # a resumed run trains the checkpoint's model on its schedule: a
+        # differing --seed/--ablation flag or schedule key is rejected
+        given = [(f"--{key}", key, getattr(args, key))
+                 for key in ("seed", "ablation")]
+        given += [(key, key, getattr(cfg, key)) for key in SCHEDULE_KEYS]
+        for label, key, value in given:
+            saved = getattr(ckpt_cfg, key)
+            if value is not None and value != saved:
+                raise ConfigError(f"{label} {value} differs from the "
                                   f"checkpoint's {key} {saved}")
         cfg = ckpt_cfg
     else:

@@ -40,6 +40,7 @@ import math
 
 import numpy as np
 
+from chroma.config import ConfigError
 from chroma.modulation import (
     ImageScore,
     aggregate_scores,
@@ -85,15 +86,20 @@ def _xavier(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 class _ParamStore:
     """Shared bookkeeping: named parameters and batchnorm statistics.
 
-    A network is either initialized fresh or built from saved
-    ``weights``: an object whose ``param(name, shape)`` returns the saved
-    values of one parameter and whose ``stats(name, shape)`` returns the
-    saved (mean, var) of one batchnorm layer, each checked against the
-    shape the network expects. A network built from weights copies each
-    array once and draws nothing. Every parameter requires gradients,
-    but a gradient is allocated only when a backward pass reaches it, so
-    a network that is only run forward never holds any.
+    Every array a network holds has a checkpoint record name:
+    ``<prefix>.<parameter>`` for a parameter and
+    ``<prefix>.stat.<layer>.{mean,var}`` for a batchnorm layer's running
+    statistics, where ``prefix`` is the branch (``cn`` or ``va``).
+    :meth:`state` maps those names to the live arrays. A network is
+    either initialized fresh or built from ``weights``, a mapping of the
+    same names to saved arrays (such as a checkpoint's records); other
+    keys are ignored. A network built from weights copies each array once
+    and draws nothing. Every parameter requires gradients, but a gradient
+    is allocated only when a backward pass reaches it, so a network that
+    is only run forward never holds any.
     """
+
+    prefix: str  # the branch, "cn" or "va"
 
     def __init__(self, dtype, seed: int, weights):
         self.dtype = np.dtype(dtype).type
@@ -102,13 +108,24 @@ class _ParamStore:
         self._params: dict[str, Tensor] = {}
         self._stats: dict[str, RunningStats] = {}
 
+    def _array(self, key: str, shape: tuple[int, ...], init) -> np.ndarray:
+        """The array of record ``key``: ``init(shape)`` when fresh, else a
+        copy of the saved one. A missing or wrong-shape record raises
+        :class:`ConfigError` naming it."""
+        if self._weights is None:
+            return np.asarray(init(shape), dtype=self.dtype)
+        saved = self._weights.get(key)
+        if saved is None:
+            raise ConfigError(f"checkpoint is missing record {key}")
+        if saved.shape != shape:
+            raise ConfigError(f"checkpoint record {key} has shape {saved.shape}, "
+                              f"expected {shape}")
+        return np.array(saved, dtype=self.dtype)
+
     def _param(self, name: str, shape: tuple[int, ...], init) -> Tensor:
         """Register a parameter; ``init(shape)`` draws a fresh one."""
-        if self._weights is None:
-            values = np.asarray(init(shape), dtype=self.dtype)
-        else:
-            values = np.array(self._weights.param(name, shape), dtype=self.dtype)
-        t = Tensor(values, requires_grad=True, op=name)
+        t = Tensor(self._array(f"{self.prefix}.{name}", shape, init),
+                   requires_grad=True, op=name)
         self._params[name] = t
         return t
 
@@ -126,14 +143,20 @@ class _ParamStore:
     def _bn(self, name: str, channels: int) -> tuple[Tensor, Tensor, RunningStats]:
         gamma = self._param(f"{name}.gamma", (channels,), np.ones)
         beta = self._param(f"{name}.beta", (channels,), np.zeros)
-        if self._weights is None:
-            stats = RunningStats.create(channels, dtype=self.dtype)
-        else:
-            mean, var = self._weights.stats(name, (channels,))
-            stats = RunningStats(np.array(mean, dtype=self.dtype),
-                                 np.array(var, dtype=self.dtype))
+        key = f"{self.prefix}.stat.{name}"
+        stats = RunningStats(self._array(f"{key}.mean", (channels,), np.zeros),
+                             self._array(f"{key}.var", (channels,), np.ones))
         self._stats[name] = stats
         return gamma, beta, stats
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Every parameter, then every batchnorm statistic, each in
+        registration order, as the live array under its record name."""
+        state = {f"{self.prefix}.{k}": p.data for k, p in self._params.items()}
+        for k, s in self._stats.items():
+            state[f"{self.prefix}.stat.{k}.mean"] = s.mean
+            state[f"{self.prefix}.stat.{k}.var"] = s.var
+        return state
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
@@ -161,6 +184,8 @@ class CnNet(_ParamStore):
     Xavier-initialized), so an untrained network outputs the uniform
     distribution at every pixel regardless of input.
     """
+
+    prefix = "cn"
 
     def __init__(self, num_classes: int, width: int = 72, dtype=np.float64,
                  seed: int = 0, weights=None):
@@ -228,6 +253,8 @@ class VaNet(_ParamStore):
     all-ones map of the ``no-attention`` ablation. See
     :mod:`chroma.modulation` for why the RMS, not the mean or the peak.
     """
+
+    prefix = "va"
 
     def __init__(self, resolution: int = 64, stages: int = 3,
                  channels: tuple[int, ...] = (16, 32, 64),

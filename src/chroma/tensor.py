@@ -433,10 +433,6 @@ class RunningStats:
     mean: np.ndarray
     var: np.ndarray
 
-    @classmethod
-    def create(cls, channels: int, dtype=np.float64) -> "RunningStats":
-        return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
-
     def copy(self) -> "RunningStats":
         return RunningStats(self.mean.copy(), self.var.copy())
 

@@ -152,23 +152,14 @@ def _prepare_images(samples: list[WeakSample], resolution: int) -> list[np.ndarr
     return out
 
 
-def _snapshot(nets) -> list[dict]:
-    snaps = []
+def _snapshot(nets) -> dict[str, np.ndarray]:
+    return {k: a.copy() for net in nets for k, a in net.state().items()}
+
+
+def _restore(nets, snap: dict[str, np.ndarray]) -> None:
     for net in nets:
-        snaps.append({
-            "params": {k: p.data.copy() for k, p in net.parameters().items()},
-            "stats": {k: s.copy() for k, s in net.stats().items()},
-        })
-    return snaps
-
-
-def _restore(nets, snaps) -> None:
-    for net, snap in zip(nets, snaps):
-        for k, p in net.parameters().items():
-            p.data[...] = snap["params"][k]
-        for k, s in net.stats().items():
-            s.mean[...] = snap["stats"][k].mean
-            s.var[...] = snap["stats"][k].var
+        for k, a in net.state().items():
+            a[...] = snap[k]
 
 
 def _validation_accuracy(cn: CnNet, va: VaNet | None, images, labels) -> float:
@@ -225,7 +216,7 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
     global epoch index and the epoch-mean losses.
     """
     what = "pretraining" if phase == "PRETRAIN" else f"{phase} phase"
-    params = {("cn." if net is cn else "va.") + k: p
+    params = {f"{net.prefix}.{k}": p
               for net in nets for k, p in net.parameters().items()}
     opt = OptimizerState(learning_rate=config.learning_rate,
                          momentum=config.momentum)
@@ -349,10 +340,10 @@ def train(cn: CnNet, va: VaNet | None, splits: Mapping[str, list[WeakSample]],
     data = _StageData.prepare(config, splits["train"], splits["val"])
     out.mkdir(parents=True, exist_ok=True)
 
-    def save(name, stage, next_phase):  # at the current epoch and loss
+    def save(name, next_phase):  # at the current epoch and loss
         save_model(out / name, cn, va, config,
-                   {"stage": stage, "phase_index": next_phase,
-                    "global_epoch": epoch, "last_phase_loss": last_loss})
+                   {"phase_index": next_phase, "global_epoch": epoch,
+                    "last_phase_loss": last_loss})
 
     log = TrainLog()
     try:
@@ -368,7 +359,7 @@ def train(cn: CnNet, va: VaNet | None, splits: Mapping[str, list[WeakSample]],
                 image_loss=pretrain_loss, batch_size=config.cn_batch_size,
                 n_epochs=config.pretrain_epochs, epoch=0, lr_origin=0,
                 cn=cn, va=None)
-            save("pretrain.ckpt", "pretrained", 0)
+            save("pretrain.ckpt", 0)
 
         if phase_index == 0 and va is not None:
             _calibrate_batchnorm(va, data.images)
@@ -400,11 +391,11 @@ def train(cn: CnNet, va: VaNet | None, splits: Mapping[str, list[WeakSample]],
                          abs(phase_loss - last_loss) / max(abs(last_loss), 1e-12)
                          < config.convergence_tol)
             last_loss = phase_loss
-            save(f"phase_{idx:02d}.ckpt", "alternating",
+            save(f"phase_{idx:02d}.ckpt",
                  config.max_phases if converged else idx + 1)
             if converged:
                 break
-        save("final.ckpt", "final", config.max_phases)
+        save("final.ckpt", config.max_phases)
     finally:
         (out / "trainlog.txt").write_text(log.as_table())
         (out / "trainlog.kv").write_text(log.as_kv())
@@ -536,57 +527,17 @@ def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
 # model persistence
 
 
-@dataclass
-class _BranchRecords:
-    """One branch's checkpoint records, checked as its network takes them.
-
-    Records are looked up as ``<prefix>.<parameter>`` and
-    ``<prefix>.stat.<layer>.{mean,var}``; a missing record or a wrong
-    shape raises :class:`ConfigError`.
-    """
-
-    records: Mapping[str, np.ndarray]
-    prefix: str
-
-    def _get(self, key: str, shape: tuple[int, ...], what: str):
-        rec = self.records.get(key)
-        if rec is not None and rec.shape != shape:
-            raise ConfigError(f"checkpoint {what} {key} has shape {rec.shape}, "
-                              f"expected {shape}")
-        return rec
-
-    def param(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        key = f"{self.prefix}.{name}"
-        rec = self._get(key, shape, "parameter")
-        if rec is None:
-            raise ConfigError(f"checkpoint is missing parameter {key}")
-        return rec
-
-    def stats(self, name: str, shape: tuple[int, ...]
-              ) -> tuple[np.ndarray, np.ndarray]:
-        key = f"{self.prefix}.stat.{name}"
-        mean = self._get(f"{key}.mean", shape, "statistic")
-        var = self._get(f"{key}.var", shape, "statistic")
-        if mean is None or var is None:
-            raise ConfigError(f"checkpoint is missing statistics for "
-                              f"{self.prefix}.{name}")
-        return mean, var
-
-
 def build_networks(cfg: RunConfig, num_classes: int,
                    records: Mapping[str, np.ndarray] | None = None
                    ) -> tuple[CnNet, VaNet | None]:
     """The branches of ``cfg``'s model: freshly initialized, or, given a
-    checkpoint's ``records``, holding copies of the saved parameters and
-    statistics (see :func:`load_model`). The ``no-attention`` model has
-    no attention branch (``va`` is None) and ``no-prior`` builds one
+    mapping of checkpoint record names to arrays (``records``, laid out
+    as a network's ``state()``), holding copies of the saved parameters
+    and statistics (see :func:`load_model`). The ``no-attention`` model
+    has no attention branch (``va`` is None) and ``no-prior`` builds one
     without the spatial prior."""
-    cn_weights = va_weights = None
-    if records is not None:
-        cn_weights = _BranchRecords(records, "cn")
-        va_weights = _BranchRecords(records, "va")
     cn = CnNet(num_classes=num_classes, width=cfg.cn_width, dtype=TRAIN_DTYPE,
-               seed=cfg.seed, weights=cn_weights)
+               seed=cfg.seed, weights=records)
     if cfg.ablation == "no-attention":
         return cn, None
     va = VaNet(resolution=cfg.resolution, stages=cfg.va_stages,
@@ -594,21 +545,8 @@ def build_networks(cfg: RunConfig, num_classes: int,
                bottleneck_channels=cfg.va_bottleneck_channels,
                dec_channels=cfg.va_dec_channel_list(),
                use_prior=cfg.ablation != "no-prior", dtype=TRAIN_DTYPE,
-               seed=cfg.seed + 1, weights=va_weights)
+               seed=cfg.seed + 1, weights=records)
     return cn, va
-
-
-def _model_records(cn: CnNet, va: VaNet | None) -> dict[str, np.ndarray]:
-    records: dict[str, np.ndarray] = {}
-    for prefix, net in (("cn", cn), ("va", va)):
-        if net is None:
-            continue
-        for k, p in net.parameters().items():
-            records[f"{prefix}.{k}"] = p.data
-        for k, s in net.stats().items():
-            records[f"{prefix}.stat.{k}.mean"] = s.mean
-            records[f"{prefix}.stat.{k}.var"] = s.var
-    return records
 
 
 def save_model(path, cn: CnNet, va: VaNet | None, cfg: RunConfig,
@@ -625,16 +563,17 @@ def save_model(path, cn: CnNet, va: VaNet | None, cfg: RunConfig,
                           if not line.startswith("out_dir"))
     for key, value in (counters or {}).items():
         config_text += f"resume.{key} = {value}\n"
-    write_checkpoint(path, cfg.vocab().names, config_text,
-                     _model_records(cn, va))
+    records = {**cn.state(), **(va.state() if va is not None else {})}
+    write_checkpoint(path, cfg.vocab().names, config_text, records)
 
 
 def load_model(path) -> tuple[CnNet, VaNet | None, RunConfig, dict]:
     """Rebuild networks from a checkpoint; returns (cn, va, config,
     resume counters).
 
-    The networks are built straight from the checkpoint's records: each
-    parameter and statistic is one float32 copy of its record, and
+    The networks are built straight from the checkpoint's records, the
+    mapping their ``state()`` lays out: each parameter and statistic is
+    one float32 copy of its record, and
     nothing is drawn at random. A missing record or a wrong shape raises
     :class:`ConfigError`; records the networks do not use, such as the
     untrained attention branch older ``no-attention`` files carry, are

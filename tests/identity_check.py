@@ -1,0 +1,197 @@
+"""Byte-identity check of a change against its parent.
+
+    python tests/identity_check.py PARENT_SRC CHANGE_SRC
+
+Each argument is the ``src`` directory of one source tree. Every command
+runs in a subprocess of that tree with ``CHROMA_THREADS=1``, in a fresh
+temporary directory: ``synth`` with a tiny config, ``train`` for each
+ablation at each (``max_phases``, ``convergence_tol``) schedule, with
+both sides training on the parent's dataset (one path, so the configs
+embedded in the checkpoints agree), ``eval`` and ``infer`` on each
+``final.ckpt``, and a resume of the change from every checkpoint the
+parent wrote.
+
+One line per output says ``identical`` or ``differs``. A checkpoint is
+reported as two outputs, its records (everything but the config text)
+and its config text; the config lines that differ are listed under it.
+``trainlog.kv`` is compared without its ``wall_time`` lines. A resumed
+run is compared with the parent's uninterrupted ``final.ckpt``. Exit
+status 0 means every output is identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import shutil
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TINY_CFG = """\
+dataset_root = {root}
+resolution = 16
+image_size = 16
+cn_width = 8
+va_stages = 2
+va_channels = 4,6
+va_fc_width = 24
+va_bottleneck_channels = 2
+va_dec_channels = 6,4
+cn_batch_size = 8
+va_batch_size = 4
+pretrain_epochs = 2
+phase_epochs = 1
+max_phases = {max_phases}
+convergence_tol = {tol}
+n_per_class = 4
+seed = 2
+"""
+ABLATIONS = ("none", "no-attention", "no-prior", "no-alternation")
+SCHEDULES = ((2, "0.01"), (3, "0"), (5, "inf"))
+INFER_OUTPUTS = ("prediction.txt", "attention.ppm", "color_names.ppm")
+
+
+def run(src: Path, *args) -> None:
+    """One ``chroma`` command of the tree at ``src``; it must succeed."""
+    env = dict(os.environ, PYTHONPATH=str(src), CHROMA_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "chroma.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{src}: chroma {' '.join(map(str, args))} exited "
+                 f"{proc.returncode}:\n{proc.stderr}")
+
+
+def check_import(src: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    found = subprocess.run([sys.executable, "-c",
+                            "import chroma; print(chroma.__file__)"],
+                           env=env, capture_output=True, text=True).stdout
+    if Path(found.strip()).resolve().parent != (src / "chroma").resolve():
+        sys.exit(f"{src} does not provide the chroma package (got {found!r})")
+
+
+def split_checkpoint(path: Path) -> tuple[bytes, str]:
+    """(everything but the config text, the config text) of a file."""
+    raw = path.read_bytes()
+
+    def u32(at: int) -> int:
+        return struct.unpack_from("<I", raw, at)[0]
+
+    pos = len(b"CNATTN1") + 4
+    for _ in range(u32(pos - 4)):  # the vocabulary names
+        pos += 4 + u32(pos)
+    end = pos + 4 + u32(pos)
+    return raw[:pos] + raw[end:], raw[pos + 4:end].decode()
+
+
+class Report:
+    def __init__(self):
+        self.differs = 0
+
+    def line(self, same: bool, label: str, detail=()) -> None:
+        self.differs += not same
+        print(f"{'identical' if same else 'differs':<9}  {label}")
+        for text in detail:
+            print(f"             {text}")
+
+    def checkpoint(self, a: Path, b: Path, label: str) -> None:
+        records_a, config_a = split_checkpoint(a)
+        records_b, config_b = split_checkpoint(b)
+        self.line(records_a == records_b, f"{label} records")
+        diff = [d for d in difflib.unified_diff(config_a.splitlines(),
+                                                config_b.splitlines(),
+                                                lineterm="", n=0)
+                if d[:1] in "+-" and d[:3] not in ("---", "+++")]
+        self.line(config_a == config_b, f"{label} config", diff)
+
+    def text(self, a: Path, b: Path, label: str, drop: str) -> None:
+        """Compare two text files without the lines containing ``drop``."""
+        lines = [[line for line in p.read_text().splitlines()
+                  if drop not in line] for p in (a, b)]
+        self.line(lines[0] == lines[1], label)
+
+    def files(self, a: Path, b: Path, label: str) -> None:
+        self.line(a.read_bytes() == b.read_bytes(), label)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    args = parser.parse_args()
+    sides = {"parent": args.parent_src.resolve(),
+             "change": args.change_src.resolve()}
+    for src in sides.values():
+        check_import(src)
+    report = Report()
+    work = Path(tempfile.mkdtemp(prefix="chroma-identity-"))
+    try:
+        data = work / "data"  # the parent's dataset, shared by both sides
+        configs = {}
+        for max_phases, tol in SCHEDULES:
+            cfg = work / f"p{max_phases}-tol{tol}.cfg"
+            cfg.write_text(TINY_CFG.format(root=data, max_phases=max_phases,
+                                           tol=tol))
+            configs[max_phases, tol] = cfg
+        first_cfg = configs[SCHEDULES[0]]
+        run(sides["parent"], "synth", "--config", first_cfg, "--out", data)
+        run(sides["change"], "synth", "--config", first_cfg, "--out",
+            work / "change-data")
+        names = sorted(p.relative_to(data) for p in data.rglob("*")
+                       if p.is_file())
+        changed = sorted(p.relative_to(work / "change-data")
+                         for p in (work / "change-data").rglob("*")
+                         if p.is_file())
+        report.line(names == changed and all(
+            (data / n).read_bytes() == (work / "change-data" / n).read_bytes()
+            for n in names), f"synth dataset ({len(names)} files)")
+        image = sorted(data.glob("test/*/*.ppm"))[0]
+
+        for ablation in ABLATIONS:
+            for schedule, cfg in configs.items():
+                name = f"{ablation}.p{schedule[0]}.tol{schedule[1]}"
+                runs = {side: work / side / name for side in sides}
+                for side, src in sides.items():
+                    out = runs[side]
+                    run(src, "train", "--config", cfg, "--ablation", ablation,
+                        "--out", out)
+                    run(src, "eval", "--checkpoint", out / "final.ckpt",
+                        "--out", out / "eval")
+                    run(src, "infer", image, "--checkpoint", out / "final.ckpt",
+                        "--out", out / "infer")
+                parent, change = runs["parent"], runs["change"]
+                ckpts = sorted(p.name for p in parent.glob("*.ckpt"))
+                report.line(ckpts == sorted(p.name for p in change.glob("*.ckpt")),
+                            f"{name} checkpoint set {' '.join(ckpts)}")
+                for ckpt in ckpts:
+                    if (change / ckpt).exists():
+                        report.checkpoint(parent / ckpt, change / ckpt,
+                                          f"{name}/{ckpt}")
+                report.text(parent / "trainlog.kv", change / "trainlog.kv",
+                            f"{name}/trainlog.kv without wall_time", ".wall_time")
+                report.files(parent / "eval" / "metrics.txt",
+                             change / "eval" / "metrics.txt",
+                             f"{name}/eval/metrics.txt")
+                for output in INFER_OUTPUTS:
+                    report.files(parent / "infer" / output,
+                                 change / "infer" / output,
+                                 f"{name}/infer/{output}")
+                for ckpt in ckpts:
+                    out = work / "resumed" / name / ckpt
+                    run(sides["change"], "train", "--config", cfg,
+                        "--checkpoint", parent / ckpt, "--out", out)
+                    report.checkpoint(parent / "final.ckpt", out / "final.ckpt",
+                                      f"{name}: change resumed from parent "
+                                      f"{ckpt} -> final.ckpt")
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    print(f"{report.differs} output(s) differ")
+    return 1 if report.differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

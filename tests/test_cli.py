@@ -149,6 +149,74 @@ class TestTrainCommand:
         assert main(resume + ["--seed", "2", "--ablation", "none"]) == EXIT_OK
         assert final.read_bytes() == before
 
+    def test_resume_with_a_different_schedule_is_exit_4(self, tmp_path,
+                                                         capsys):
+        # a run of 3 phases cannot be resumed as a run of 5
+        cfg = _write_cfg(tmp_path, max_phases=3, convergence_tol=0)
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "data")]) == EXIT_OK
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        final = (tmp_path / "run" / "final.ckpt").read_bytes()
+        cfg = _write_cfg(tmp_path, max_phases=5, convergence_tol="inf")
+        out = tmp_path / "resumed"
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--checkpoint",
+                     str(tmp_path / "run" / "phase_00.ckpt"), "--out",
+                     str(out)]) == EXIT_CONFIG
+        assert ("error: max_phases 5 differs from the checkpoint's "
+                "max_phases 3") in capsys.readouterr().err
+        assert not out.exists()
+        assert (tmp_path / "run" / "final.ckpt").read_bytes() == final
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("learning_rate", 0.02, "learning_rate 0.02 differs from the "
+         "checkpoint's learning_rate 0.01"),
+        ("lr_decay_epochs", 7, "lr_decay_epochs 7 differs from the "
+         "checkpoint's lr_decay_epochs 20"),
+        ("momentum", 0.5, "momentum 0.5 differs from the checkpoint's "
+         "momentum 0.9"),
+        ("cn_batch_size", 4, "cn_batch_size 4 differs from the checkpoint's "
+         "cn_batch_size 8"),
+        ("va_batch_size", 2, "va_batch_size 2 differs from the checkpoint's "
+         "va_batch_size 4"),
+        ("pretrain_epochs", 3, "pretrain_epochs 3 differs from the "
+         "checkpoint's pretrain_epochs 2"),
+        ("phase_epochs", 2, "phase_epochs 2 differs from the checkpoint's "
+         "phase_epochs 1"),
+        ("max_phases", 4, "max_phases 4 differs from the checkpoint's "
+         "max_phases 2"),
+        ("convergence_tol", "inf", "convergence_tol inf differs from the "
+         "checkpoint's convergence_tol 0.001"),
+    ])
+    def test_resume_rejects_each_schedule_key_the_checkpoint_lacks(
+            self, synthed, fresh_checkpoint, capsys, key, value, message):
+        tmp_path, _ = synthed
+        path, _ = fresh_checkpoint
+        cfg = _write_cfg(tmp_path, **{key: value})
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--checkpoint",
+                     str(path)]) == EXIT_CONFIG
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_checkpoint_with_a_stage_counter_resumes_alike(self, synthed):
+        # files from older writers carry resume.stage, which nothing reads
+        from chroma.checkpoint import read_checkpoint, write_checkpoint
+        tmp_path, cfg = synthed
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        run = tmp_path / "run"
+        ckpt = read_checkpoint(run / "phase_00.ckpt")
+        assert "resume.stage" not in ckpt.config_text
+        legacy = tmp_path / "legacy.ckpt"
+        write_checkpoint(legacy, ckpt.vocabulary,
+                         ckpt.config_text + "resume.stage = alternating\n",
+                         ckpt.params)
+        out = tmp_path / "resumed"
+        assert main(["train", "--config", str(cfg), "--checkpoint",
+                     str(legacy), "--out", str(out)]) == EXIT_OK
+        assert (out / "final.ckpt").read_bytes() == \
+            (run / "final.ckpt").read_bytes()
+
     @pytest.mark.parametrize("case, extra, checkpoints", [
         # a zero tolerance never stops by convergence, so all three
         # phase checkpoints exist; resuming from phase_02 has no phase left
@@ -465,12 +533,15 @@ class TestCorruptCheckpoint:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
-        ("cn.trunk.conv.w", None, "missing parameter cn.trunk.conv.w"),
+        ("cn.trunk.conv.w", None,
+         "error: checkpoint is missing record cn.trunk.conv.w"),
         ("va.fc1.b", np.zeros(3, dtype=np.float32),
-         "parameter va.fc1.b has shape (3,), expected (24,)"),
+         "error: checkpoint record va.fc1.b has shape (3,), expected (24,)"),
         ("va.prior.kernel", np.zeros((3, 3), dtype=np.float32),
-         "parameter va.prior.kernel has shape (3, 3), expected (4, 4)"),
-        ("va.stat.enc0.bn.var", None, "missing statistics for va.enc0.bn"),
+         "error: checkpoint record va.prior.kernel has shape (3, 3), "
+         "expected (4, 4)"),
+        ("va.stat.enc0.bn.var", None,
+         "error: checkpoint is missing record va.stat.enc0.bn.var"),
     ])
     def test_records_not_matching_the_networks_are_exit_4(
             self, tmp_path, fresh_checkpoint, capsys, key, value, message):

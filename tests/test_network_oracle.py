@@ -44,44 +44,33 @@ VA_KWARGS = dict(resolution=10, stages=2, channels=(3, 4), fc_width=10,
                  bottleneck_channels=2, dec_channels=(3, 2))  # 12x12 -> 10x10
 
 
-class FixedWeights:
-    """One branch's part of the tiny weight set: each parameter and
-    statistic is drawn from a generator seeded by the branch and its
-    name, rounded to float32 so that the float32 and float64 networks
-    and the oracle all start from the same values."""
-
-    def __init__(self, branch: str):
-        self.branch = branch
-        self.values: dict[str, np.ndarray] = {}
-
-    def _draw(self, key: str, shape, kind: str) -> np.ndarray:
-        if key not in self.values:
-            seed = zlib.crc32(f"{self.branch}.{key}".encode())
-            rng = np.random.default_rng(seed)
-            if kind == "gamma":
-                v = 1.0 + 0.3 * rng.normal(size=shape)
-            elif kind in ("beta", "b"):  # mostly positive: ReLUs stay alive
-                v = 0.5 + 0.3 * rng.normal(size=shape)
-            elif kind == "mean":
-                v = 0.3 * rng.normal(size=shape)
-            elif kind in ("var", "prior"):
-                v = rng.uniform(0.5, 2.0, size=shape)
-            else:
-                v = rng.normal(size=shape) / np.sqrt(np.prod(shape[:-1]))
-            self.values[key] = v.astype(np.float32).astype(np.float64)
-        return self.values[key]
-
-    def param(self, name, shape):
-        kind = name.rsplit(".", 1)[-1]
-        return self._draw(name, shape, "prior" if name == "prior.kernel" else kind)
-
-    def stats(self, name, shape):
-        return (self._draw(f"{name}.mean", shape, "mean"),
-                self._draw(f"{name}.var", shape, "var"))
+def fixed_weights(net) -> dict[str, np.ndarray]:
+    """One branch's part of the tiny weight set, keyed by record name:
+    each array of ``net``'s state is drawn anew from a generator seeded by
+    its record name (``.stat`` left out), rounded to float32 so that the
+    float32 and float64 networks and the oracle all start from the same
+    values."""
+    weights = {}
+    for key, fresh in net.state().items():
+        seed = zlib.crc32(key.replace(".stat.", ".").encode())
+        rng = np.random.default_rng(seed)
+        kind, shape = key.rsplit(".", 1)[-1], fresh.shape
+        if kind == "gamma":
+            v = 1.0 + 0.3 * rng.normal(size=shape)
+        elif kind in ("beta", "b"):  # mostly positive: ReLUs stay alive
+            v = 0.5 + 0.3 * rng.normal(size=shape)
+        elif kind == "mean":
+            v = 0.3 * rng.normal(size=shape)
+        elif kind in ("var", "kernel"):  # "kernel": the spatial prior
+            v = rng.uniform(0.5, 2.0, size=shape)
+        else:
+            v = rng.normal(size=shape) / np.sqrt(np.prod(shape[:-1]))
+        weights[key] = v.astype(np.float32).astype(np.float64)
+    return weights
 
 
-CN_WEIGHTS = FixedWeights("cn")
-VA_WEIGHTS = FixedWeights("va")
+CN_WEIGHTS = fixed_weights(CnNet(CLASSES, width=CN_WIDTH))
+VA_WEIGHTS = fixed_weights(VaNet(**VA_KWARGS))
 
 
 def _image(shape, seed):
@@ -97,31 +86,33 @@ def _va(dtype):
     return VaNet(dtype=dtype, weights=VA_WEIGHTS, **VA_KWARGS)
 
 
-def _bn_relu(weights, x, name, new_stats):
+def _unprefixed(weights):
+    """A branch's weights with the branch prefix taken off the names."""
+    return {key.split(".", 1)[1]: v for key, v in weights.items()}
+
+
+def _bn_relu(p, x, name, new_stats):
     """Batchnorm by the saved statistics, then ReLU; records the
     statistics online mode would fold in."""
-    shape = (x.shape[2],)
-    mean, var = weights.stats(name, shape)
+    mean, var = p[f"stat.{name}.mean"], p[f"stat.{name}.var"]
     new_stats[name] = running_stats_loops(x, mean, var)
-    gamma = weights.param(f"{name}.gamma", shape)
-    beta = weights.param(f"{name}.beta", shape)
-    return relu_loops(batchnorm_loops(x, gamma, beta, mean, var))
+    return relu_loops(batchnorm_loops(x, p[f"{name}.gamma"], p[f"{name}.beta"],
+                                      mean, var))
 
 
 def cn_oracle(image):
     """CnNet's forward pass from the loop oracles: (probabilities,
     statistics after one online pass)."""
-    _cn(np.float64)  # building a network draws its weight set
-    p = CN_WEIGHTS.values
+    p = _unprefixed(CN_WEIGHTS)
     h, wd = image.shape[:2]
     new_stats = {}
     t = conv2d_loops(image, p["trunk.conv.w"], p["trunk.conv.b"])
-    t = _bn_relu(CN_WEIGHTS, t, "trunk.bn", new_stats)
+    t = _bn_relu(p, t, "trunk.bn", new_stats)
     t = maxpool2d_loops(t, 3, 2)
     t = deconv2d_loops(t, p["up.deconv.w"], 2)
-    t = _bn_relu(CN_WEIGHTS, t, "up.bn", new_stats)[:h, :wd]
+    t = _bn_relu(p, t, "up.bn", new_stats)[:h, :wd]
     s = conv2d_loops(image, p["skip.conv.w"], p["skip.conv.b"])
-    s = _bn_relu(CN_WEIGHTS, s, "skip.bn", new_stats)
+    s = _bn_relu(p, s, "skip.bn", new_stats)
     logits = conv2d_loops(np.concatenate([t, s], axis=2), p["head.conv.w"],
                           p["head.conv.b"])
     return channel_softmax_loops(logits), new_stats
@@ -130,14 +121,13 @@ def cn_oracle(image):
 def va_oracle(image):
     """VaNet's forward pass from the loop oracles: (attention map,
     statistics after one online pass)."""
-    _va(np.float64)
-    p = VA_WEIGHTS.values
+    p = _unprefixed(VA_WEIGHTS)
     r, stages = VA_KWARGS["resolution"], VA_KWARGS["stages"]
     new_stats = {}
     h = image
     for i in range(stages):
         h = conv2d_loops(h, p[f"enc{i}.conv.w"], p[f"enc{i}.conv.b"], padding=1)
-        h = maxpool2d_loops(_bn_relu(VA_WEIGHTS, h, f"enc{i}.bn", new_stats), 2, 2)
+        h = maxpool2d_loops(_bn_relu(p, h, f"enc{i}.bn", new_stats), 2, 2)
     g = h.shape[0]
     z = relu_loops(fc_loops(h.reshape(-1), p["fc1.w"], p["fc1.b"]))
     z = relu_loops(fc_loops(z, p["fc2.w"], p["fc2.b"]))
@@ -148,7 +138,7 @@ def va_oracle(image):
             h[i, j] *= prior[i, j]
     for i in range(stages):
         h = deconv2d_loops(h, p[f"dec{i}.deconv.w"], 2)
-        h = _bn_relu(VA_WEIGHTS, h, f"dec{i}.bn", new_stats)
+        h = _bn_relu(p, h, f"dec{i}.bn", new_stats)
     h = h[:r, :r]
     a = relu_loops(conv2d_loops(h, p["head.conv.w"], p["head.conv.b"], padding=1))
     return rms_normalize_loops(a.reshape(r, r)), new_stats
@@ -157,8 +147,10 @@ def va_oracle(image):
 def _check_stats(net, weights, online_stats, mode, tol) -> None:
     """Online mode folds each layer's statistics in (relative error below
     ``tol``); eval mode leaves the loaded ones exactly as they were."""
+    p = _unprefixed(weights)
     want = online_stats if mode == "online" else {
-        name: weights.stats(name, None) for name in online_stats}
+        name: (p[f"stat.{name}.mean"], p[f"stat.{name}.var"])
+        for name in online_stats}
     got = net.stats()
     assert got.keys() == want.keys()
     for name, (mean, var) in want.items():

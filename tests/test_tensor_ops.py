@@ -270,7 +270,8 @@ class TestBatchnorm:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             batchnorm(Tensor(np.ones((2, 2, 1))), Tensor(np.ones(1)),
-                      Tensor(np.zeros(1)), RunningStats.create(1), mode="train")
+                      Tensor(np.zeros(1)), RunningStats(np.zeros(1), np.ones(1)),
+                      mode="train")
 
     def test_online_mode_normalizes_by_pre_update_running_stats(self):
         rng = np.random.default_rng(21)
@@ -288,7 +289,7 @@ class TestBatchnorm:
     def test_running_stats_update_and_eval(self):
         rng = np.random.default_rng(9)
         x = rng.normal(loc=2.0, scale=3.0, size=(8, 8, 2))
-        stats = RunningStats.create(2)
+        stats = RunningStats(np.zeros(2), np.ones(2))
         batchnorm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), stats,
                   mode="online")
         assert np.allclose(stats.mean, 0.1 * x.mean(axis=(0, 1)))

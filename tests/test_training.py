@@ -1,9 +1,12 @@
 """Training schedule contracts: pretraining, alternation, freezing,
 metrics, and checkpoint persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from chroma.checkpoint import read_checkpoint
 from chroma.config import ConfigError, RunConfig
 from chroma.data import SynthConfig, synth_generate
 from chroma.modulation import ImageScore
@@ -473,6 +476,24 @@ class TestPersistence:
             "46b72a56843530c4aa0ccd7caf0c8890e4cee0c7f99ba1dc1e174375cb91c4c2")
         assert state_digest(va).hex() == (
             "e57797a2a8140deab00113d60c5add45a2b09c3d62c745b99424bc4689db4c13")
+
+    def test_record_layout_is_pinned(self, tmp_path):
+        # every record written is read back, in the order the networks'
+        # state() lays out: parameters, then statistics
+        for ablation in RunConfig.ABLATIONS:
+            cfg = _tiny_run_config(ablation=ablation)
+            cn, va = build_networks(cfg, len(cfg.vocab()))
+            path = tmp_path / f"{ablation}.ckpt"
+            save_model(path, cn, va, cfg)
+            cn, va, _, _ = load_model(path)
+            read = list(cn.state()) + (list(va.state()) if va else [])
+            assert list(read_checkpoint(path).params) == read, ablation
+        cfg = RunConfig()
+        save_model(tmp_path / "default.ckpt",
+                   *build_networks(cfg, len(cfg.vocab())), cfg)
+        names = "\n".join(read_checkpoint(tmp_path / "default.ckpt").params)
+        assert hashlib.sha256(names.encode()).hexdigest() == (
+            "f5b7da08b48d568d0529e710005496503046a21ef5a09db9733de252dd3bb166")
 
     def test_loaded_arrays_are_owned_float32_copies(self, tmp_path):
         cfg = _tiny_run_config()
