@@ -91,34 +91,16 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _check_dataset_vocabulary(root: Path, vocab_names) -> None:
-    found = set()
-    for split in ("train", "val", "test"):
-        split_dir = root / split
-        if split_dir.is_dir():
-            found.update(p.name for p in split_dir.iterdir() if p.is_dir())
-    unknown = sorted(found - set(vocab_names))
-    if unknown:
-        raise ConfigError(f"dataset classes {unknown} are not in the "
-                          f"vocabulary {list(vocab_names)}")
-
-
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
+    weak, test = synth_generate(cfg)
     out = Path(cfg.out_dir)
-    synth = cfg.synth_config()
-    try:
-        synth.validate()
-    except ValueError as exc:  # the generator settings come from the config
-        raise ConfigError(str(exc)) from exc
-    weak, test = synth_generate(synth, cfg.n_per_class)
     out.mkdir(parents=True, exist_ok=True)
-    write_dataset(out, weak, test, synth)
-    vocab = cfg.vocab()
+    write_dataset(out, weak, test, cfg)
     print(f"wrote synthetic dataset to {out}")
     for split, samples in (("train", weak["train"]), ("val", weak["val"]),
                            ("test", test)):
-        counts = per_class_counts(samples, vocab)
+        counts = per_class_counts(samples, cfg.vocab())
         print(f"  {split}: {len(samples)} images "
               f"({', '.join(f'{k}={v}' for k, v in counts.items())})")
     return EXIT_OK
@@ -130,7 +112,6 @@ def cmd_train(args) -> int:
         raise ConfigError("config must set dataset_root")
     vocab = cfg.vocab()
     root = Path(cfg.dataset_root)
-    _check_dataset_vocabulary(root, vocab.names)
     splits = load_weak_dataset(root, vocab)
     if not splits["train"]:
         raise ConfigError(f"no training images under {root}")
@@ -173,7 +154,6 @@ def cmd_eval(args) -> int:
         raise ConfigError("no dataset_root in config or checkpoint")
     vocab = ckpt_cfg.vocab()
     root = Path(dataset_root)
-    _check_dataset_vocabulary(root, vocab.names)
     # a test split without any mask is weakly labeled; one with some
     # masks must have them all (a missing one is an I/O error)
     if any((root / "test").glob("*/*.mask.pgm")):
@@ -260,10 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=cmd_train)
 
     # eval and infer take the model, its seed and ablation included, from
-    # the checkpoint
+    # the checkpoint; the generator has no ablation
     for p in (synth, train):
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--ablation", choices=RunConfig.ABLATIONS,
+    train.add_argument("--ablation", choices=RunConfig.ABLATIONS,
                        help="ablation switch")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

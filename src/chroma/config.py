@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from chroma.data import SynthConfig
 from chroma.vocab import ColorVocabulary, get_vocabulary
 
 __all__ = ["ConfigError", "RunConfig", "parse_kv_text", "format_kv"]
@@ -173,16 +172,3 @@ class RunConfig:
 
     def va_dec_channel_list(self) -> tuple[int, ...]:
         return self._int_list(self.va_dec_channels)
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            vocabulary=self.vocab(),
-            seed=self.seed,
-            image_size=self.image_size,
-            shapes=tuple(s.strip() for s in self.shapes.split(",") if s.strip()),
-            scale_range=(self.scale_min, self.scale_max),
-            jitter_sigma=self.jitter_sigma,
-            center_sigma=self.center_sigma,
-            clutter_patches=self.clutter_patches,
-            distractors=self.distractors,
-        )

@@ -17,20 +17,21 @@ dataset equals its exported-then-reloaded copy bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from chroma.config import ConfigError, RunConfig
 from chroma.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
-from chroma.vocab import ColorVocabulary, VOCABULARY_PRESETS
+from chroma.vocab import ColorVocabulary
 
 __all__ = [
     "WeakSample",
     "EvalSample",
-    "SynthConfig",
     "load_weak_dataset",
     "load_eval_dataset",
+    "generator_plan",
     "synth_generate",
     "write_dataset",
     "resize_bilinear",
@@ -39,15 +40,21 @@ __all__ = [
 
 SPLITS = ("train", "val", "test")
 
-# Backgrounds and clutter are drawn from these grays and muted tints. A
-# vocabulary with an anchor closer than BACKGROUND_MARGIN (RGB distance
-# in [0, 1] units) to one of them is rejected, so no background pixel
-# looks like a class color.
+# Backgrounds and clutter are drawn from six colors at least
+# BACKGROUND_MARGIN (RGB distance in [0, 1] units) from every class
+# anchor, so no background pixel looks like a class color: these grays
+# and muted tints, each replaced where an anchor is too close by a muted
+# color (channel spread under 0.2) of a 16-step RGB grid.
 BACKGROUND_PALETTE = (
     (64, 64, 64), (112, 112, 112), (160, 160, 160),
     (88, 100, 112), (112, 100, 88), (96, 112, 96),
 )
 BACKGROUND_MARGIN = 0.25
+_GRID = np.indices((16, 16, 16)).reshape(3, -1).T * 16 / 255.0
+_MUTED_GRID = _GRID[_GRID.max(axis=1) - _GRID.min(axis=1) < 0.2]
+# upper bounds on the generator keys that size its work and memory
+GENERATOR_LIMITS = {"n_per_class": 1000, "image_size": 512,
+                    "clutter_patches": 100, "distractors": 10}
 # distractors are kept smaller than principals so the bootstrap saliency
 # mask is dominated by correctly labeled pixels
 DISTRACTOR_SCALE_RANGE = (0.12, 0.22)
@@ -73,59 +80,6 @@ class EvalSample(WeakSample):
             raise ValueError(f"sample {self.id!r}: evaluation mask is empty")
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Parameters of the synthetic scene generator.
-
-    ``scale_range`` is the object extent as a fraction of the image
-    side; ``jitter_sigma`` perturbs the anchor color per channel (in
-    [0,1] units); ``center_sigma`` spreads object centers around the
-    image center as a fraction of the side. ``distractors`` adds
-    off-center objects in wrong-class colors (never in the mask), which
-    penalizes attention that drifts away from the center.
-    """
-
-    vocabulary: ColorVocabulary = field(
-        default_factory=lambda: VOCABULARY_PRESETS["synthetic6"])
-    seed: int = 0
-    image_size: int = 64
-    shapes: tuple[str, ...] = ("rectangle", "ellipse")
-    scale_range: tuple[float, float] = (0.25, 0.45)
-    jitter_sigma: float = 0.02
-    center_sigma: float = 0.15
-    clutter_patches: int = 8
-    distractors: int = 0
-
-    def validate(self) -> None:
-        if self.image_size < 8:
-            raise ValueError("image_size must be at least 8")
-        lo, hi = self.scale_range
-        if not 0.05 <= lo <= hi <= 0.9:
-            raise ValueError(f"scale_range {(lo, hi)} out of bounds")
-        if self.jitter_sigma < 0 or self.center_sigma < 0:
-            raise ValueError("sigmas must be non-negative")
-        if self.clutter_patches < 0 or self.distractors < 0:
-            raise ValueError("clutter_patches and distractors must be "
-                             "non-negative")
-        if not self.shapes or any(s not in ("rectangle", "ellipse")
-                                  for s in self.shapes):
-            raise ValueError(f"unknown shape in {self.shapes}")
-        min_dist = self.vocabulary.min_anchor_distance()
-        if min_dist <= 6.0 * self.jitter_sigma:
-            raise ValueError(
-                f"jitter_sigma {self.jitter_sigma} is too large: nearest-anchor "
-                f"classification needs min pairwise anchor distance "
-                f"({min_dist:.3f}) > 6*sigma ({6 * self.jitter_sigma:.3f})")
-        anchors = self.vocabulary.anchor_floats()
-        for rgb in BACKGROUND_PALETTE:
-            col = np.asarray(rgb, dtype=np.float64) / 255.0
-            d = np.sqrt(((anchors - col) ** 2).sum(axis=1)).min()
-            if d < BACKGROUND_MARGIN:
-                raise ValueError(
-                    f"background color {rgb} lies within {d:.3f} of a class "
-                    f"anchor (margin {BACKGROUND_MARGIN})")
-
-
 # ---------------------------------------------------------------------------
 # loading
 
@@ -134,8 +88,8 @@ def _class_dirs(split_dir: Path, vocab: ColorVocabulary) -> list[tuple[str, Path
     dirs = sorted(p for p in split_dir.iterdir() if p.is_dir())
     for p in dirs:
         if p.name not in vocab.names:
-            raise ValueError(f"unknown class folder {p} (vocabulary: "
-                             f"{list(vocab.names)})")
+            raise ConfigError(f"unknown class folder {p} (vocabulary: "
+                              f"{list(vocab.names)})")
     return [(p.name, p) for p in dirs]
 
 
@@ -198,6 +152,66 @@ def per_class_counts(samples: list[WeakSample], vocab: ColorVocabulary) -> dict[
 # synthetic generation
 
 
+def _nearest_distance(colors: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Distance from each of ``colors`` [N,3] to the nearest of ``targets``."""
+    diffs = colors[:, None, :] - targets[None, :, :]
+    return np.sqrt((diffs ** 2).sum(axis=2)).min(axis=1)
+
+
+def _background_palette(anchors: np.ndarray) -> np.ndarray:
+    """Six background colors [6,3] that keep the margin from ``anchors``.
+
+    Each fixed palette color that keeps the margin stays; any other gives
+    way to the nearest muted grid color that keeps it and is not taken
+    yet (first in grid order on ties). The palette so keeps the fixed
+    one's mid tones and spacing: high-contrast clutter (near white or
+    near black) lowers accuracy on the domain presets.
+    """
+    fixed = np.asarray(BACKGROUND_PALETTE, dtype=np.float64) / 255.0
+    keep = _nearest_distance(fixed, anchors) >= BACKGROUND_MARGIN
+    grid = _MUTED_GRID[_nearest_distance(_MUTED_GRID, anchors) >= BACKGROUND_MARGIN]
+    if keep.sum() + len(grid) < len(fixed):
+        raise ConfigError(f"only {keep.sum() + len(grid)} background colors keep "
+                          f"the margin {BACKGROUND_MARGIN} from every class "
+                          f"anchor; {len(fixed)} are needed")
+    palette = []
+    for color, kept in zip(fixed, keep):
+        if not kept:
+            i = int(np.argmin(((grid - color) ** 2).sum(axis=1)))
+            color, grid = grid[i], np.delete(grid, i, axis=0)
+        palette.append(color)
+    return np.asarray(palette)
+
+
+def generator_plan(cfg: RunConfig) -> tuple[tuple[str, ...], np.ndarray,
+                                             np.ndarray]:
+    """The object shapes, [C,3] anchor colors and [6,3] background palette
+    (in [0, 1]) of a validated run config; ``ConfigError`` for generator
+    settings that cannot be honored."""
+    for name, limit in GENERATOR_LIMITS.items():
+        if getattr(cfg, name) > limit:
+            raise ConfigError(f"{name} must be at most {limit}")
+    if cfg.image_size < 8:
+        raise ConfigError("image_size must be at least 8")
+    lo, hi = cfg.scale_min, cfg.scale_max
+    if not 0.05 <= lo <= hi <= 0.9:
+        raise ConfigError(f"scale_range {(lo, hi)} out of bounds")
+    if cfg.jitter_sigma < 0 or cfg.center_sigma < 0:
+        raise ConfigError("sigmas must be non-negative")
+    shapes = tuple(s.strip() for s in cfg.shapes.split(",") if s.strip())
+    if not shapes or any(s not in ("rectangle", "ellipse") for s in shapes):
+        raise ConfigError(f"unknown shape in {shapes}")
+    vocab = cfg.vocab()
+    min_dist = vocab.min_anchor_distance()
+    if min_dist <= 6.0 * cfg.jitter_sigma:
+        raise ConfigError(
+            f"jitter_sigma {cfg.jitter_sigma} is too large: nearest-anchor "
+            f"classification needs min pairwise anchor distance "
+            f"({min_dist:.3f}) > 6*sigma ({6 * cfg.jitter_sigma:.3f})")
+    anchors = vocab.anchor_floats()
+    return shapes, anchors, _background_palette(anchors)
+
+
 def _paint(image: np.ndarray, shape: str, cx: float, cy: float,
            hx: float, hy: float, color: np.ndarray) -> np.ndarray:
     """Paint one shape; returns its boolean footprint."""
@@ -211,11 +225,13 @@ def _paint(image: np.ndarray, shape: str, cx: float, cy: float,
     return footprint
 
 
-def _object_geometry(rng: np.random.Generator, cfg: SynthConfig,
-                     off_center: bool) -> tuple[str, float, float, float, float]:
+def _object_geometry(rng: np.random.Generator, cfg: RunConfig,
+                     shapes: tuple[str, ...], off_center: bool
+                     ) -> tuple[str, float, float, float, float]:
     size = cfg.image_size
-    shape = cfg.shapes[int(rng.integers(len(cfg.shapes)))]
-    lo, hi = DISTRACTOR_SCALE_RANGE if off_center else cfg.scale_range
+    shape = shapes[int(rng.integers(len(shapes)))]
+    lo, hi = DISTRACTOR_SCALE_RANGE if off_center else (cfg.scale_min,
+                                                        cfg.scale_max)
     hx = rng.uniform(lo, hi) * size / 2.0
     hy = rng.uniform(lo, hi) * size / 2.0
     if off_center:
@@ -237,11 +253,10 @@ def _jittered(rng: np.random.Generator, anchor: np.ndarray,
     return np.clip(color, 0.0, 1.0)
 
 
-def _render_sample(rng: np.random.Generator, cfg: SynthConfig,
+def _render_sample(rng: np.random.Generator, cfg: RunConfig, plan,
                    label: int) -> tuple[np.ndarray, np.ndarray]:
     size = cfg.image_size
-    anchors = cfg.vocabulary.anchor_floats()
-    palette = np.asarray(BACKGROUND_PALETTE, dtype=np.float64) / 255.0
+    shapes, anchors, palette = plan
 
     image = np.empty((size, size, 3), dtype=np.float64)
     image[...] = palette[int(rng.integers(len(palette)))]
@@ -256,10 +271,10 @@ def _render_sample(rng: np.random.Generator, cfg: SynthConfig,
         other = int(rng.integers(len(anchors) - 1))
         if other >= label:
             other += 1
-        shape, cx, cy, hx, hy = _object_geometry(rng, cfg, off_center=True)
+        shape, cx, cy, hx, hy = _object_geometry(rng, cfg, shapes, off_center=True)
         _paint(image, shape, cx, cy, hx, hy,
                _jittered(rng, anchors[other], cfg.jitter_sigma))
-    shape, cx, cy, hx, hy = _object_geometry(rng, cfg, off_center=False)
+    shape, cx, cy, hx, hy = _object_geometry(rng, cfg, shapes, off_center=False)
     footprint = _paint(image, shape, cx, cy, hx, hy,
                        _jittered(rng, anchors[label], cfg.jitter_sigma))
     # snap to the 8-bit grid so exports reload bit-exactly
@@ -267,28 +282,28 @@ def _render_sample(rng: np.random.Generator, cfg: SynthConfig,
     return image, footprint.astype(np.uint8)
 
 
-def synth_generate(config: SynthConfig, n_per_class: int
+def synth_generate(cfg: RunConfig
                    ) -> tuple[dict[str, list[WeakSample]], list[EvalSample]]:
     """Generate weak train/val splits and a masked test split.
 
     Split sizes follow the 40/10/20 per-class pattern: ``n_per_class``
     training images, a quarter of that for validation and half for test
-    (at least one each).
+    (at least one each). ``distractors`` adds off-center objects in
+    wrong-class colors (never in the mask), which penalizes attention
+    that drifts away from the center.
     """
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be at least 1")
-    config.validate()
-    rng = np.random.default_rng(config.seed)
-    n_val = max(1, n_per_class // 4)
-    n_test = max(1, n_per_class // 2)
+    plan = generator_plan(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    n_val = max(1, cfg.n_per_class // 4)
+    n_test = max(1, cfg.n_per_class // 2)
 
     weak: dict[str, list[WeakSample]] = {"train": [], "val": []}
     test: list[EvalSample] = []
-    for label, name in enumerate(config.vocabulary.names):
-        for split, count in (("train", n_per_class), ("val", n_val),
+    for label, name in enumerate(cfg.vocab().names):
+        for split, count in (("train", cfg.n_per_class), ("val", n_val),
                              ("test", n_test)):
             for idx in range(count):
-                image, mask = _render_sample(rng, config, label)
+                image, mask = _render_sample(rng, cfg, plan, label)
                 sample_id = f"{idx:03d}"
                 if split == "test":
                     test.append(EvalSample(image=image, label=label,
@@ -300,10 +315,10 @@ def synth_generate(config: SynthConfig, n_per_class: int
 
 
 def write_dataset(root, weak: dict[str, list[WeakSample]],
-                  test: list[EvalSample], config: SynthConfig) -> None:
+                  test: list[EvalSample], cfg: RunConfig) -> None:
     """Export generated splits in the on-disk layout, plus a manifest."""
     root = Path(root)
-    vocab = config.vocabulary
+    vocab = cfg.vocab()
     for split, samples in list(weak.items()) + [("test", test)]:
         for s in samples:
             class_dir = root / split / vocab.names[s.label]
@@ -312,16 +327,16 @@ def write_dataset(root, weak: dict[str, list[WeakSample]],
             if isinstance(s, EvalSample):
                 write_pgm(class_dir / f"{s.id}.mask.pgm", s.mask * 255)
     lines = [
-        f"seed = {config.seed}",
-        f"image_size = {config.image_size}",
+        f"seed = {cfg.seed}",
+        f"image_size = {cfg.image_size}",
         f"classes = {','.join(vocab.names)}",
         f"anchors = {';'.join('%d,%d,%d' % a for a in vocab.anchors)}",
-        f"shapes = {','.join(config.shapes)}",
-        f"scale_range = {config.scale_range[0]},{config.scale_range[1]}",
-        f"jitter_sigma = {config.jitter_sigma}",
-        f"center_sigma = {config.center_sigma}",
-        f"clutter_patches = {config.clutter_patches}",
-        f"distractors = {config.distractors}",
+        f"shapes = {','.join(generator_plan(cfg)[0])}",
+        f"scale_range = {cfg.scale_min},{cfg.scale_max}",
+        f"jitter_sigma = {cfg.jitter_sigma}",
+        f"center_sigma = {cfg.center_sigma}",
+        f"clutter_patches = {cfg.clutter_patches}",
+        f"distractors = {cfg.distractors}",
     ]
     for split, samples in list(weak.items()) + [("test", test)]:
         for name, count in per_class_counts(samples, vocab).items():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from chroma.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_IO, EXIT_OK, \
     heatmap_colormap, main, render_heatmap
 from chroma.config import RunConfig
+from chroma.data import GENERATOR_LIMITS
 from chroma.netpbm import read_ppm, write_ppm
 
 
@@ -108,6 +109,17 @@ class TestSynthCommand:
         assert main(["synth", "--config", str(cfg), "--out",
                      str(out)]) == EXIT_CONFIG
         assert f"error: {key} must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(GENERATOR_LIMITS))
+    def test_work_sizing_key_above_its_bound_is_config_error(self, tmp_path,
+                                                             capsys, key):
+        limit = GENERATOR_LIMITS[key]
+        cfg = _write_cfg(tmp_path, **{key: limit + 1})
+        out = tmp_path / "huge"
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(out)]) == EXIT_CONFIG
+        assert f"error: {key} must be at most {limit}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -315,6 +327,17 @@ class TestTrainCommand:
         assert RunConfig.from_text("convergence_tol = inf\n").convergence_tol \
             == float("inf")
 
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_unknown_class_folder_is_exit_4_naming_it(self, synthed, capsys,
+                                                      split):
+        tmp_path, cfg = synthed
+        rogue = tmp_path / "data" / split / "mauve"
+        rogue.mkdir()
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"error: unknown class folder {rogue}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_dataset_root_is_config_error(self, tmp_path):
         cfg = tmp_path / "nodataset.cfg"
         cfg.write_text("out_dir = x\n")
@@ -427,14 +450,20 @@ class TestEvalCommand:
         assert f"missing mask {mask}" in capsys.readouterr().err
         assert not (tmp_path / "ev4").exists()
 
-    def test_vocabulary_mismatch_is_exit_4(self, synthed):
+    def test_vocabulary_mismatch_is_exit_4(self, synthed, capsys):
         tmp_path, cfg = synthed
         assert main(["train", "--config", str(cfg)]) == EXIT_OK
         rogue = tmp_path / "data" / "test" / "mauve"
         rogue.mkdir()
-        assert main(["eval", "--checkpoint",
-                     str(tmp_path / "run" / "final.ckpt"),
-                     "--out", str(tmp_path / "ev3")]) == EXIT_CONFIG
+        argv = ["eval", "--checkpoint", str(tmp_path / "run" / "final.ckpt"),
+                "--out", str(tmp_path / "ev3")]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        assert f"error: unknown class folder {rogue}" in capsys.readouterr().err
+        # a masked dataset's eval reads the test split alone
+        rogue.rmdir()
+        (tmp_path / "data" / "train" / "mauve").mkdir()
+        assert main(argv) == EXIT_OK
 
 
 class TestInferCommand:
@@ -490,13 +519,15 @@ class TestInferCommand:
                      "--out", str(tmp_path / "x")]) == EXIT_IO
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--checkpoint", "m.ckpt"],
-    ["infer", "image.ppm", "--checkpoint", "m.ckpt"],
+@pytest.mark.parametrize("argv, flag", [
+    *((argv, flag) for argv in (["eval", "--checkpoint", "m.ckpt"],
+                                ["infer", "image.ppm", "--checkpoint", "m.ckpt"])
+      for flag in (["--seed", "5"], ["--ablation", "no-attention"])),
+    (["synth"], ["--ablation", "no-prior"]),
 ])
-@pytest.mark.parametrize("flag", [["--seed", "5"], ["--ablation", "no-attention"]])
 def test_eval_and_infer_reject_model_flags(argv, flag, capsys):
-    # the model comes from the checkpoint, so these would be ignored
+    # the model comes from the checkpoint, so these would be ignored; the
+    # generator has no ablation
     with pytest.raises(SystemExit) as exc:
         main(argv + flag)
     assert exc.value.code == 2

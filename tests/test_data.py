@@ -4,9 +4,12 @@ bilinear resizing."""
 import numpy as np
 import pytest
 
+from chroma.config import ConfigError, RunConfig
 from chroma.data import (
+    BACKGROUND_MARGIN,
+    BACKGROUND_PALETTE,
     EvalSample,
-    SynthConfig,
+    generator_plan,
     load_eval_dataset,
     load_weak_dataset,
     per_class_counts,
@@ -15,7 +18,7 @@ from chroma.data import (
     write_dataset,
 )
 from chroma.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
-from chroma.vocab import VOCABULARY_PRESETS, get_vocabulary
+from chroma.vocab import VOCABULARY_PRESETS, ColorVocabulary, get_vocabulary
 
 
 class TestNetpbm:
@@ -128,7 +131,7 @@ class TestLoaders:
 
     def test_unknown_class_folder_rejected(self, tmp_path):
         (tmp_path / "train" / "mauve").mkdir(parents=True)
-        with pytest.raises(ValueError, match="mauve"):
+        with pytest.raises(ConfigError, match="mauve"):
             load_weak_dataset(tmp_path, get_vocabulary("red,blue"))
 
     def test_unreadable_image_names_file(self, tmp_path):
@@ -165,9 +168,9 @@ class TestLoaders:
 
 class TestSynthGenerate:
     def test_same_seed_is_bit_identical(self):
-        cfg = SynthConfig(seed=5)
-        weak_a, test_a = synth_generate(cfg, 2)
-        weak_b, test_b = synth_generate(cfg, 2)
+        cfg = RunConfig(seed=5, n_per_class=2)
+        weak_a, test_a = synth_generate(cfg)
+        weak_b, test_b = synth_generate(cfg)
         for split in ("train", "val"):
             for sa, sb in zip(weak_a[split], weak_b[split]):
                 assert sa.image.tobytes() == sb.image.tobytes()
@@ -176,45 +179,69 @@ class TestSynthGenerate:
             assert np.array_equal(sa.mask, sb.mask)
 
     def test_zero_jitter_paints_exact_anchor(self):
-        cfg = SynthConfig(seed=6, jitter_sigma=0.0)
-        _, test = synth_generate(cfg, 1)
-        anchors = cfg.vocabulary.anchor_floats()
+        cfg = RunConfig(seed=6, jitter_sigma=0.0, n_per_class=1)
+        _, test = synth_generate(cfg)
+        anchors = cfg.vocab().anchor_floats()
         for s in test:
             obj = s.image[s.mask.astype(bool)]
             assert np.array_equal(obj, np.broadcast_to(anchors[s.label], obj.shape))
 
     def test_mean_object_color_decodes_to_label(self):
-        cfg = SynthConfig(seed=7)
-        _, test = synth_generate(cfg, 4)
+        cfg = RunConfig(seed=7, n_per_class=4)
+        _, test = synth_generate(cfg)
         for s in test:
             mean_color = s.image[s.mask.astype(bool)].mean(axis=0)
-            assert cfg.vocabulary.nearest(mean_color) == s.label
+            assert cfg.vocab().nearest(mean_color) == s.label
 
     def test_split_sizes_follow_40_10_20_pattern(self):
-        weak, test = synth_generate(SynthConfig(seed=8), 40)
-        c = len(SynthConfig().vocabulary)
+        weak, test = synth_generate(RunConfig(seed=8, n_per_class=40))
+        c = len(RunConfig().vocab())
         assert len(weak["train"]) == 40 * c
         assert len(weak["val"]) == 10 * c
         assert len(test) == 20 * c
 
     @pytest.mark.parametrize("key", ["clutter_patches", "distractors"])
     def test_negative_object_count_is_rejected(self, key):
-        with pytest.raises(ValueError, match="must be non-negative"):
-            SynthConfig(**{key: -1}).validate()
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            RunConfig(**{key: -1}).validate()
 
     def test_jitter_invariant_is_enforced(self):
-        with pytest.raises(ValueError, match="jitter"):
-            synth_generate(SynthConfig(jitter_sigma=0.2), 1)
+        with pytest.raises(ConfigError, match="jitter"):
+            synth_generate(RunConfig(jitter_sigma=0.2, n_per_class=1))
 
-    def test_background_margin_is_enforced(self):
-        # the gray anchor lies 0.11 from the (112, 112, 112) background
-        with pytest.raises(ValueError, match="background"):
-            synth_generate(SynthConfig(vocabulary=get_vocabulary("gray,red")), 1)
+    def test_background_margin_is_enforced(self, monkeypatch):
+        # the gray anchor lies 0.11 from the (112, 112, 112) background,
+        # so the palette replaces that color, keeping the margin
+        _, anchors, palette = generator_plan(RunConfig(vocabulary="gray,red"))
+        dists = np.sqrt(((palette[:, None] - anchors[None]) ** 2).sum(axis=2))
+        assert dists.min() >= BACKGROUND_MARGIN
+        # six grays 0.35 apart leave no muted color at the margin
+        grays = ColorVocabulary(tuple(f"g{i}" for i in range(6)),
+                                tuple((v, v, v) for v in range(0, 256, 51)))
+        monkeypatch.setitem(VOCABULARY_PRESETS, "grays", grays)
+        with pytest.raises(ConfigError, match="background"):
+            synth_generate(RunConfig(vocabulary="grays", n_per_class=1))
+
+    @pytest.mark.parametrize("name", sorted(VOCABULARY_PRESETS))
+    def test_every_preset_synthesizes_with_its_palette_at_the_margin(
+            self, name):
+        cfg = RunConfig(vocabulary=name, image_size=16, n_per_class=1, seed=3)
+        _, anchors, palette = generator_plan(cfg)
+        assert len(np.unique(palette, axis=0)) == len(BACKGROUND_PALETTE)
+        dists = np.sqrt(((palette[:, None] - anchors[None]) ** 2).sum(axis=2))
+        assert dists.min() >= BACKGROUND_MARGIN
+        if name == "synthetic6":
+            assert np.array_equal(np.rint(palette * 255), BACKGROUND_PALETTE)
+        _, test = synth_generate(cfg)
+        assert len(test) == len(VOCABULARY_PRESETS[name])
+        for s in test:
+            background = s.image[~s.mask.astype(bool)][:, None]
+            assert (background == palette).all(axis=2).any(axis=1).all()
 
     def test_distractors_use_other_class_colors(self):
-        cfg = SynthConfig(seed=9, jitter_sigma=0.0, distractors=2)
-        _, test = synth_generate(cfg, 2)
-        anchors = cfg.vocabulary.anchor_floats()
+        cfg = RunConfig(seed=9, jitter_sigma=0.0, distractors=2, n_per_class=2)
+        _, test = synth_generate(cfg)
+        anchors = cfg.vocab().anchor_floats()
         found_distractor_pixels = 0
         for s in test:
             outside = s.image[~s.mask.astype(bool)]
@@ -226,25 +253,25 @@ class TestSynthGenerate:
         assert found_distractor_pixels > 0
 
     def test_export_round_trips_bit_exactly(self, tmp_path):
-        cfg = SynthConfig(seed=10)
-        weak, test = synth_generate(cfg, 2)
+        cfg = RunConfig(seed=10, n_per_class=2)
+        weak, test = synth_generate(cfg)
         write_dataset(tmp_path, weak, test, cfg)
         assert (tmp_path / "manifest.txt").exists()
-        loaded = load_weak_dataset(tmp_path, cfg.vocabulary)
+        loaded = load_weak_dataset(tmp_path, cfg.vocab())
         for split in ("train", "val"):
             assert len(loaded[split]) == len(weak[split])
             for got, want in zip(loaded[split], weak[split]):
                 assert got.id == want.id and got.label == want.label
                 assert got.image.tobytes() == want.image.tobytes()
-        loaded_test = load_eval_dataset(tmp_path, cfg.vocabulary)
+        loaded_test = load_eval_dataset(tmp_path, cfg.vocab())
         for got, want in zip(loaded_test, test):
             assert got.image.tobytes() == want.image.tobytes()
             assert np.array_equal(got.mask, want.mask)
 
     def test_export_twice_identical_bytes(self, tmp_path):
-        cfg = SynthConfig(seed=11)
+        cfg = RunConfig(seed=11, n_per_class=1)
         for sub in ("a", "b"):
-            weak, test = synth_generate(cfg, 1)
+            weak, test = synth_generate(cfg)
             write_dataset(tmp_path / sub, weak, test, cfg)
         files_a = sorted((tmp_path / "a").rglob("*.*"))
         files_b = sorted((tmp_path / "b").rglob("*.*"))

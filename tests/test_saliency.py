@@ -61,9 +61,11 @@ class TestBinarize:
 
     def test_synthetic_masks_overlap_ground_truth(self):
         # mask-vs-object IoU >= 0.3 on at least 80% of generated scenes
-        from chroma.data import SynthConfig, synth_generate
+        from chroma.config import RunConfig
+        from chroma.data import synth_generate
 
-        _, test = synth_generate(SynthConfig(seed=11, clutter_patches=6), 10)
+        _, test = synth_generate(RunConfig(seed=11, clutter_patches=6,
+                                           n_per_class=10))
         good = 0
         for sample in test:
             mask = binarize(compute_saliency(sample.image)).astype(bool)

@@ -1,6 +1,7 @@
 """Training schedule contracts: pretraining, alternation, freezing,
 metrics, and checkpoint persistence."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from chroma.checkpoint import read_checkpoint
 from chroma.config import ConfigError, RunConfig
-from chroma.data import SynthConfig, synth_generate
+from chroma.data import synth_generate
 from chroma.modulation import ImageScore
 from chroma.networks import full_forward
 from chroma.tensor import Tensor, cross_entropy, no_grad
@@ -40,9 +41,7 @@ def _tiny_run_config(**overrides) -> RunConfig:
 
 
 def _tiny_dataset(cfg: RunConfig, single_class=False):
-    synth = SynthConfig(vocabulary=cfg.vocab(), seed=cfg.seed,
-                        image_size=cfg.image_size, clutter_patches=3)
-    weak, test = synth_generate(synth, cfg.n_per_class)
+    weak, test = synth_generate(dataclasses.replace(cfg, clutter_patches=3))
     if single_class:
         for split in weak:
             weak[split] = [s for s in weak[split] if s.label == 0]
@@ -106,8 +105,7 @@ class TestPretrain:
                                pretrain_epochs=20, cn_batch_size=16,
                                n_per_class=12, jitter_sigma=0.0, seed=7,
                                max_phases=1)
-        synth = cfg.synth_config()
-        weak, test = synth_generate(synth, cfg.n_per_class)
+        weak, test = synth_generate(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
         _train(cfg, cn, va, weak["train"], tmp_path)
         cn, _, _, _ = load_model(tmp_path / "pretrain.ckpt")
@@ -327,7 +325,7 @@ class TestAttentionScale:
         # own variation and the unit-RMS map comes out flat
         cfg = RunConfig(n_per_class=2, cn_batch_size=12, pretrain_epochs=1,
                         phase_epochs=1, max_phases=1, seed=4)
-        weak, _ = synth_generate(cfg.synth_config(), cfg.n_per_class)
+        weak, _ = synth_generate(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
         head = cn.parameters()["head.conv.w"]
         head.data[...] = np.random.default_rng(1).normal(
