@@ -22,10 +22,11 @@ file in this layout loads.
 Parameters are stored in 32-bit; training keeps its parameters in 32-bit
 too, so a save/load round trip reproduces forward passes bit-exactly.
 
-The reader reads the file once and parses it from memory with one
-cursor. Every count, length and shape is checked against the bytes that
-remain before anything is sliced or allocated, so a truncated or
-corrupt file raises ``ValueError``, never a memory or overflow error.
+The reader parses the file in one pass, reading each record straight
+into an array of its own. Every count, length and shape is checked
+against the bytes left in the file before anything is read or
+allocated, so a truncated or corrupt file raises ``ValueError``, never
+a memory or overflow error.
 The writer replaces the file atomically, so a crash while saving never
 leaves a half-written checkpoint.
 """
@@ -78,31 +79,36 @@ def _write_records(f, records: dict[str, np.ndarray]) -> None:
 
 
 class _Cursor:
-    """Parses the layout from one in-memory copy of the file."""
+    """Parses the layout from an open file of ``left`` bytes."""
 
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
-        self.pos = 0
+    def __init__(self, f, left: int, path):
+        self.f = f
+        self.left = left
         self.path = path
 
-    def take(self, n: int, what: str) -> int:
-        """Claim the next ``n`` bytes and return where they start."""
-        start = self.pos
-        left = len(self.buf) - start
-        if n > left:
+    def take(self, n: int, what: str) -> None:
+        """Claim the next ``n`` bytes of the file."""
+        if n > self.left:
             raise ValueError(f"{self.path}: truncated checkpoint: {what} runs "
-                             f"past the end ({left} bytes left)")
-        self.pos = start + n
-        return start
+                             f"past the end ({self.left} bytes left)")
+        self.left -= n
+
+    def fill(self, buf, what: str):
+        """Read the next ``len(buf)`` bytes into the claimed ``buf``."""
+        if self.f.readinto(buf) != memoryview(buf).nbytes:
+            raise ValueError(f"{self.path}: {what} changed while being read")
+        return buf
+
+    def read(self, n: int, what: str) -> bytes:
+        self.take(n, what)
+        return bytes(self.fill(bytearray(n), what))
 
     def u32(self, what: str) -> int:
-        return _U32.unpack_from(self.buf, self.take(4, what))[0]
+        return _U32.unpack(self.read(4, what))[0]
 
     def text(self, what: str) -> str:
-        n = self.u32(what)
-        start = self.take(n, what)
         try:
-            return self.buf[start:start + n].decode("utf-8")
+            return self.read(self.u32(what), what).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{self.path}: {what} is not utf-8") from exc
 
@@ -112,12 +118,11 @@ class _Cursor:
             name = self.text(f"{section} record name")
             what = f"record {name!r}"
             ndim = self.u32(what)
-            shape = struct.unpack_from(f"<{ndim}I", self.buf,
-                                       self.take(4 * ndim, what))
-            count = math.prod(shape)  # Python ints: no overflow
-            start = self.take(4 * count, what)
-            records[name] = np.frombuffer(self.buf, dtype=_F32, count=count,
-                                          offset=start).reshape(shape)
+            shape = struct.unpack(f"<{ndim}I", self.read(4 * ndim, what))
+            self.take(4 * math.prod(shape), what)  # Python ints: no overflow
+            arr = self.fill(np.empty(shape, dtype=_F32), what)
+            arr.flags.writeable = False
+            records[name] = arr
         return records
 
 
@@ -146,18 +151,18 @@ def write_checkpoint(path, vocabulary, config_text: str,
 def read_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a malformed file raises ``ValueError``.
 
-    The records are read-only float32 views of the file's bytes; a caller
-    copies what it keeps.
+    Each record is a read-only float32 array of its own, which a network
+    built from the records takes over instead of copying.
     """
     path = Path(path)
-    cur = _Cursor(path.read_bytes(), path)
-    if cur.buf[:len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a {MAGIC.decode()} checkpoint")
-    cur.pos = len(MAGIC)
-    vocabulary = tuple(cur.text("vocabulary name")
-                       for _ in range(cur.u32("vocabulary count")))
-    config_text = cur.text("config text")
-    params = cur.records("parameter")
-    cur.records("optimizer")  # checked, then dropped: nothing reads it
+    with open(path, "rb") as f:
+        cur = _Cursor(f, os.fstat(f.fileno()).st_size, path)
+        if cur.left < len(MAGIC) or cur.read(len(MAGIC), "magic") != MAGIC:
+            raise ValueError(f"{path}: not a {MAGIC.decode()} checkpoint")
+        vocabulary = tuple(cur.text("vocabulary name")
+                           for _ in range(cur.u32("vocabulary count")))
+        config_text = cur.text("config text")
+        params = cur.records("parameter")
+        cur.records("optimizer")  # checked, then dropped: nothing reads it
     return Checkpoint(vocabulary=vocabulary, config_text=config_text,
                       params=params)

@@ -213,16 +213,20 @@ def generator_plan(cfg: RunConfig) -> tuple[tuple[str, ...], np.ndarray,
 
 
 def _paint(image: np.ndarray, shape: str, cx: float, cy: float,
-           hx: float, hy: float, color: np.ndarray) -> np.ndarray:
-    """Paint one shape; returns its boolean footprint."""
+           hx: float, hy: float, color: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Paint one shape; returns a (rows, columns) box around it and its
+    footprint in the box, each pixel tested as on the whole image (none
+    outside can pass: both shapes keep within hx, hy of the center)."""
     size = image.shape[0]
-    yy, xx = np.mgrid[0:size, 0:size]
+    box = (slice(max(0, int(cy - hy) - 1), min(size, int(cy + hy) + 2)),
+           slice(max(0, int(cx - hx) - 1), min(size, int(cx + hx) + 2)))
+    yy, xx = np.ogrid[box]
     if shape == "rectangle":
         footprint = (np.abs(xx - cx) <= hx) & (np.abs(yy - cy) <= hy)
     else:
         footprint = ((xx - cx) / hx) ** 2 + ((yy - cy) / hy) ** 2 <= 1.0
-    image[footprint] = color
-    return footprint
+    image[box][footprint] = color
+    return box, footprint
 
 
 def _object_geometry(rng: np.random.Generator, cfg: RunConfig,
@@ -275,11 +279,13 @@ def _render_sample(rng: np.random.Generator, cfg: RunConfig, plan,
         _paint(image, shape, cx, cy, hx, hy,
                _jittered(rng, anchors[other], cfg.jitter_sigma))
     shape, cx, cy, hx, hy = _object_geometry(rng, cfg, shapes, off_center=False)
-    footprint = _paint(image, shape, cx, cy, hx, hy,
-                       _jittered(rng, anchors[label], cfg.jitter_sigma))
+    box, footprint = _paint(image, shape, cx, cy, hx, hy,
+                            _jittered(rng, anchors[label], cfg.jitter_sigma))
+    mask = np.zeros((size, size), dtype=np.uint8)
+    mask[box] = footprint
     # snap to the 8-bit grid so exports reload bit-exactly
     image = np.rint(image * 255.0) / 255.0
-    return image, footprint.astype(np.uint8)
+    return image, mask
 
 
 def synth_generate(cfg: RunConfig

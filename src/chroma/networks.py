@@ -26,8 +26,14 @@ the bottleneck grid is 8x8 and the bottleneck widths are 512.
 :func:`full_forward` is the one path from an image to the color map
 (a [H,W,C] tensor, every pixel on the simplex), the attention map (a
 [H,W] tensor) and an image score; without an attention branch it pools
-the unmodulated color map. Both forwards take an [H,W,3] image with
-values in [0, 1], each with its own size rule.
+the unmodulated color map (:func:`image_score` is that last step).
+Both forwards take an [H,W,3] image with values in [0, 1], each with
+its own size rule. In eval mode under :class:`~chroma.tensor.no_grad`
+each is one no-grad pass: each batchnorm folded into the layer before
+it from the live parameters (Jacob et al., CVPR 2018), each ReLU in
+place, each deconv written as its parity planes into the cropped map;
+float32 outputs move in the last bits. The attention branch's pass also
+maps an [N,H,W,3] stack to [N,H,W], running fc1 and fc2 once over it.
 
 A network instance is single-writer during training; once loaded from a
 checkpoint, read-only inference may be shared freely.
@@ -54,7 +60,10 @@ from chroma.tensor import (
     ShapeError,
     Tensor,
     _accum,
+    _bn_affine,
+    _deconv_planes,
     _make_node,
+    _pool_max,
     batchnorm,
     channel_softmax,
     conv1x1_concat,
@@ -62,6 +71,7 @@ from chroma.tensor import (
     crop_spatial,
     deconv2d,
     fully_connected,
+    grad_enabled,
     maxpool2d,
     relu,
     reshape,
@@ -71,10 +81,27 @@ __all__ = [
     "CnNet",
     "VaNet",
     "full_forward",
+    "image_score",
     "masked_nll_loss",
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def _relu_(a: np.ndarray) -> np.ndarray:
+    return np.maximum(a, 0.0, out=a)  # in place: ``a`` is fresh
+
+
+def _conv_relu(x: np.ndarray, folded, padding: int = 0) -> np.ndarray:
+    """No-grad conv (-> batchnorm) -> ReLU by the ``folded`` kernel, bias."""
+    return _relu_(conv2d(x, *folded, padding=padding).data)
+
+
+def _deconv_relu(x: np.ndarray, folded, h: int, w: int) -> np.ndarray:
+    """No-grad stride-2 deconv -> batchnorm -> ReLU, cropped to [h, w]."""
+    out = _deconv_planes(x, folded[0], 2, h, w)
+    out += folded[1]
+    return _relu_(out)
 
 
 def _xavier(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
@@ -93,10 +120,12 @@ class _ParamStore:
     :meth:`state` maps those names to the live arrays. A network is
     either initialized fresh or built from ``weights``, a mapping of the
     same names to saved arrays (such as a checkpoint's records); other
-    keys are ignored. A network built from weights copies each array once
-    and draws nothing. Every parameter requires gradients, but a gradient
-    is allocated only when a backward pass reaches it, so a network that
-    is only run forward never holds any.
+    keys are ignored. A network built from weights draws nothing, takes
+    over a read-only saved array that owns its memory and has its dtype
+    (as checkpoints are read), and copies any other: two networks built
+    from one mapping never share an array. Every parameter requires
+    gradients, but a gradient is allocated only when a backward pass
+    reaches it, so a network that is only run forward never holds any.
     """
 
     prefix: str  # the branch, "cn" or "va"
@@ -109,9 +138,9 @@ class _ParamStore:
         self._stats: dict[str, RunningStats] = {}
 
     def _array(self, key: str, shape: tuple[int, ...], init) -> np.ndarray:
-        """The array of record ``key``: ``init(shape)`` when fresh, else a
-        copy of the saved one. A missing or wrong-shape record raises
-        :class:`ConfigError` naming it."""
+        """The array of record ``key``: ``init(shape)`` when fresh, else the
+        saved one, taken over or copied. A missing or wrong-shape record
+        raises :class:`ConfigError` naming it."""
         if self._weights is None:
             return np.asarray(init(shape), dtype=self.dtype)
         saved = self._weights.get(key)
@@ -120,6 +149,10 @@ class _ParamStore:
         if saved.shape != shape:
             raise ConfigError(f"checkpoint record {key} has shape {saved.shape}, "
                               f"expected {shape}")
+        if (saved.dtype == self.dtype and saved.flags.owndata
+                and not saved.flags.writeable):
+            saved.flags.writeable = True
+            return saved
         return np.array(saved, dtype=self.dtype)
 
     def _param(self, name: str, shape: tuple[int, ...], init) -> Tensor:
@@ -135,9 +168,8 @@ class _ParamStore:
                                      self.dtype)
 
     def _built(self) -> None:
-        """Drop what only construction needs: the saved weights are views
-        of a whole checkpoint file, which a loaded network must not keep
-        alive."""
+        """Drop what only construction needs: the mapping of saved
+        weights, which a loaded network must not keep alive."""
         self._rng = self._weights = None
 
     def _bn(self, name: str, channels: int) -> tuple[Tensor, Tensor, RunningStats]:
@@ -164,13 +196,27 @@ class _ParamStore:
     def stats(self) -> dict[str, RunningStats]:
         return dict(self._stats)
 
-    def _wrap_image(self, image) -> Tensor:
-        """The image as a tensor, checked to be [H,W,3] with values in
-        [0, 1]; each network then checks its own size rule."""
+    def _folded(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel and bias of the conv or deconv ``<name>.conv|deconv``
+        with the eval-mode batchnorm ``<name>.bn`` folded in, from the live
+        parameters (a deconv has no bias of its own)."""
+        p, stats = self._params, self._stats[f"{name}.bn"]
+        gamma, beta = p[f"{name}.bn.gamma"].data, p[f"{name}.bn.beta"].data
+        _, scale, shift = _bn_affine(gamma, beta, stats.mean, stats.var)
+        if f"{name}.deconv.w" in p:  # [k,k,Cout,Cin]
+            return p[f"{name}.deconv.w"].data * scale[:, None], shift
+        return (p[f"{name}.conv.w"].data * scale,
+                p[f"{name}.conv.b"].data * scale + shift)
+
+    def _wrap_image(self, image, stack: bool = False) -> Tensor:
+        """The image (or, given ``stack``, an [N,H,W,3] stack) as a tensor,
+        checked to be [H,W,3] with values in [0, 1]; each network then
+        checks its own size rule."""
         x = image if isinstance(image, Tensor) else Tensor(
             np.asarray(image, dtype=self.dtype))
-        if x.data.ndim != 3 or x.shape[2] != 3:
-            raise ShapeError(f"{type(self).__name__} expects an [H,W,3] image, "
+        if x.data.ndim not in ((3, 4) if stack else (3,)) or x.shape[-1] != 3:
+            raise ShapeError(f"{type(self).__name__} expects an [H,W,3] "
+                             f"image{' or [N,H,W,3] stack' * stack}, "
                              f"got {x.shape}")
         if float(x.data.min()) < 0.0 or float(x.data.max()) > 1.0:
             raise ValueError("image values must lie in [0, 1]")
@@ -221,6 +267,12 @@ class CnNet(_ParamStore):
                              f"any H, W >= 3")
         mode = "online" if train else "eval"
         p = self._params
+        if mode == "eval" and not grad_enabled():
+            t = _conv_relu(x.data, self._folded("trunk"))
+            t = _deconv_relu(_pool_max(t, 3, 2), self._folded("up"), h, w)
+            s = _conv_relu(x.data, self._folded("skip"))
+            return channel_softmax(conv1x1_concat(t, s, p["head.conv.w"],
+                                                  p["head.conv.b"]))
 
         t = conv2d(x, p["trunk.conv.w"], p["trunk.conv.b"])
         t = relu(batchnorm(t, *self.trunk_bn, mode=mode))
@@ -310,13 +362,17 @@ class VaNet(_ParamStore):
         self._built()
 
     def forward(self, image, train: bool = False) -> Tensor:
-        """Unit-RMS attention map [H,W] of an image."""
-        x = self._wrap_image(image)
-        r = self.resolution
-        if x.shape[:2] != (r, r):
-            raise ShapeError(f"VaNet was built for {r}x{r} inputs, got "
-                             f"{x.shape[0]}x{x.shape[1]}")
+        """Unit-RMS attention map [H,W] of an image (no-grad: or a stack)."""
         mode = "online" if train else "eval"
+        no_graph = mode == "eval" and not grad_enabled()
+        x = self._wrap_image(image, stack=no_graph)
+        r = self.resolution
+        if x.shape[-3:-1] != (r, r):
+            raise ShapeError(f"VaNet was built for {r}x{r} inputs, got "
+                             f"{x.shape[-3]}x{x.shape[-2]}")
+        if no_graph:
+            maps = self._no_grad_pass(x.data.reshape((-1, r, r, 3)))
+            return Tensor(maps if x.data.ndim == 4 else maps[0])
         p = self._params
 
         h = x
@@ -339,6 +395,31 @@ class VaNet(_ParamStore):
         a = relu(conv2d(h, p["head.conv.w"], p["head.conv.b"], padding=1))
         return rms_normalize(reshape(a, (self.resolution, self.resolution)))
 
+    def _no_grad_pass(self, images: np.ndarray) -> np.ndarray:
+        """Maps [N,H,W] of a stack [N,H,W,3]; only fc1 and fc2 see it whole."""
+        p = {k: t.data for k, t in self._params.items()}
+        enc = [self._folded(f"enc{i}") for i in range(self.stages)]
+        dec = [self._folded(f"dec{i}") for i in range(self.stages)]
+        r, g = self.resolution, self.grid
+        flat = np.empty((len(images), g * g * self.channels[-1]), self.dtype)
+        for row, h in zip(flat, images):
+            for folded in enc:
+                h = _pool_max(_conv_relu(h, folded, padding=1), 2, 2)
+            row[:] = h.reshape(-1)
+        z = _relu_(flat @ p["fc1.w"] + p["fc1.b"])
+        z = _relu_(z @ p["fc2.w"] + p["fc2.b"])
+        maps = np.empty((len(images), r, r), self.dtype)
+        for out, row in zip(maps, z):
+            h = row.reshape(g, g, self.bottleneck_channels)
+            if self.use_prior:
+                h = h * p["prior.kernel"][:, :, None]
+            for i, folded in enumerate(dec):
+                size = 2 * h.shape[0] if i < self.stages - 1 else r
+                h = _deconv_relu(h, folded, size, size)
+            a = _conv_relu(h, (p["head.conv.w"], p["head.conv.b"]), padding=1)
+            out[...] = rms_normalize(Tensor(a.reshape(r, r))).data
+        return maps
+
 
 def full_forward(cn: CnNet, va: VaNet | None, image, train: bool = False
                  ) -> tuple[Tensor, Tensor | None, ImageScore]:
@@ -350,10 +431,14 @@ def full_forward(cn: CnNet, va: VaNet | None, image, train: bool = False
     (Modulating by an all-ones map would give bit-identical scores.)
     """
     y = cn.forward(image, train=train)
-    if va is None:
-        return y, None, aggregate_scores(y)
-    attention = va.forward(image, train=train)
-    return y, attention, aggregate_scores(modulate(y, attention))
+    attention = None if va is None else va.forward(image, train=train)
+    return y, attention, image_score(y, attention)
+
+
+def image_score(y: Tensor, attention: Tensor | None) -> ImageScore:
+    """The score of a color map [H,W,C], modulated by the map [H,W]
+    unless ``attention`` is None."""
+    return aggregate_scores(y if attention is None else modulate(y, attention))
 
 
 def masked_nll_loss(y: Tensor, mask: np.ndarray, label: int) -> Tensor:

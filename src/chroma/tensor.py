@@ -33,6 +33,7 @@ __all__ = [
     "ShapeError",
     "OptimizerState",
     "no_grad",
+    "grad_enabled",
     "conv2d",
     "deconv2d",
     "maxpool2d",
@@ -84,6 +85,10 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
+
+
+def grad_enabled() -> bool:
+    return _grad_enabled  # False inside no_grad
 
 
 class Tensor:
@@ -212,43 +217,16 @@ def _as_tensor(x) -> Tensor:
 # convolution machinery
 
 
-def _window_view(arr: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Strided view [oh, ow, k, k, C] of sliding kxk windows."""
-    h, w, c = arr.shape
-    oh = (h - k) // stride + 1
-    ow = (w - k) // stride + 1
-    s0, s1, s2 = arr.strides
-    return np.lib.stride_tricks.as_strided(
-        arr,
-        shape=(oh, ow, k, k, c),
-        strides=(s0 * stride, s1 * stride, s0, s1, s2),
-        writeable=False,
-    )
-
-
 def _im2col(arr: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """[oh*ow, k*k*C] patch matrix (materialized copy)."""
-    win = _window_view(arr, k, stride)
-    oh, ow = win.shape[:2]
-    return win.reshape(oh * ow, k * k * arr.shape[2])
-
-
-def _col2im(cols: np.ndarray, h: int, w: int, c: int, k: int, stride: int,
-            oh: int, ow: int) -> np.ndarray:
-    """Adjoint of ``_im2col``: scatter-add patches back onto an h x w grid."""
-    patches = cols.reshape(oh, ow, k, k, c)
-    if stride == k and (oh * k, ow * k) == (h, w):
-        # The windows tile the grid, so each pixel gets one patch value.
-        # Adding +0 maps -0 to +0, as adding onto a zero grid does.
-        out = np.empty((oh, k, ow, k, c), dtype=cols.dtype)
-        np.add(patches.transpose(0, 2, 1, 3, 4), 0.0, out=out)
-        return out.reshape(h, w, c)
-    out = np.zeros((h, w, c), dtype=cols.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            out[dy:dy + oh * stride:stride, dx:dx + ow * stride:stride] += \
-                patches[:, :, dy, dx]
-    return out
+    """[oh*ow, k*k*C] patch matrix of the sliding kxk windows (a copy of
+    their strided view [oh, ow, k, k, C])."""
+    h, w, c = arr.shape
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    s0, s1, s2 = arr.strides
+    win = np.lib.stride_tricks.as_strided(
+        arr, shape=(oh, ow, k, k, c),
+        strides=(s0 * stride, s1 * stride, s0, s1, s2), writeable=False)
+    return win.reshape(oh * ow, k * k * c)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
@@ -290,10 +268,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
                 _accum(kernel, (cols.T @ g2).reshape(kernel.shape))
             if bias.requires_grad:
                 _accum(bias, g2.sum(axis=0))
-            if x.requires_grad:
-                dcols = g2 @ kmat.T
-                dpad = _col2im(dcols, padded.shape[0], padded.shape[1], cin,
-                               k, stride, oh, ow)
+            if x.requires_grad:  # the deconv of g, onto the padded grid
+                dpad = _deconv_planes(g, kernel.data, stride, *padded.shape[:2])
                 if padding:
                     dpad = dpad[padding:padding + h, padding:padding + w]
                 _accum(x, dpad)
@@ -324,8 +300,7 @@ def deconv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     oh = (h - 1) * stride + k
     ow = (w - 1) * stride + k
     kmat = kernel.data.reshape(k * k * cout, cin)
-    contrib = x.data.reshape(h * w, cin) @ kmat.T
-    out = _col2im(contrib, oh, ow, cout, k, stride, h, w)
+    out = _deconv_planes(x.data, kernel.data, stride, oh, ow)
     result = _make_node(out, "deconv2d", (x, kernel))
 
     if result.requires_grad:
@@ -340,11 +315,39 @@ def deconv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     return result
 
 
-def _ceil_windows(n: int, k: int, stride: int) -> int:
-    """Ceil-mode window count along one axis of length ``n``; the last
-    window must start inside the input, so none is all padding."""
-    count = -(-(n - k) // stride) + 1
-    return count - 1 if (count - 1) * stride >= n else count
+def _deconv_planes(x: np.ndarray, kernel: np.ndarray, stride: int, oh: int,
+                   ow: int) -> np.ndarray:
+    """The forward pass of :func:`deconv2d` on a plain [H,W,Cin] array,
+    cropped to its top-left [oh, ow] (or zero-padded to it).
+
+    Output row ``stride * m + py`` takes kernel row ``py + stride * j``
+    from input row ``m - j``, so each tap adds into one parity plane (a
+    strided view of the output). Each pixel adds its taps in row-major
+    order onto +0, as a scatter onto zeros would: the first tap of each
+    plane (``j = 0``) is written as ``tap + 0``, and only the rows and
+    columns past ``stride * H`` and ``stride * W``, which it misses, are
+    zeroed.
+    """
+    h, w, cin = x.shape
+    k, cout = kernel.shape[0], kernel.shape[2]
+    taps = (x.reshape(h * w, cin) @ kernel.reshape(k * k * cout, cin).T
+            ).reshape(h, w, k, k, cout)
+    # with stride > k some planes take no tap at all
+    out = (np.zeros if stride > k else np.empty)((oh, ow, cout), taps.dtype)
+    out[stride * h:] = 0.0
+    out[:, stride * w:] = 0.0
+    for dy in range(k):
+        for dx in range(k):
+            plane = out[dy % stride::stride, dx % stride::stride]
+            jy, jx = dy // stride, dx // stride
+            ny = max(0, min(plane.shape[0] - jy, h))
+            nx = max(0, min(plane.shape[1] - jx, w))
+            tap, part = taps[:ny, :nx, dy, dx], plane[jy:jy + ny, jx:jx + nx]
+            if jy or jx:
+                part += tap
+            else:
+                np.add(tap, 0.0, out=part)
+    return out
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
@@ -355,11 +358,11 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     an output row/column; a window that would start in the padding
     (possible when stride > k) is dropped.
 
-    The forward pass keeps a running ``np.maximum`` over the k*k strided
-    offset views, in row-major offset order. On a tie ``np.maximum``
-    returns its second operand, the running maximum, so the earlier
-    offset wins: between +0 and -0 the output keeps the sign of the
-    first in row-major order, exactly as a windowed ``argmax`` would.
+    The forward pass (:func:`_pool_max`) keeps a running ``np.maximum``
+    over the k*k strided offset views, in row-major offset order. On a
+    tie ``np.maximum`` returns its second operand, the running maximum,
+    so the earlier offset wins: between +0 and -0 the output keeps the
+    sign of the first in row-major order, as a windowed ``argmax`` would.
     The backward pass routes each output gradient to that first maximum;
     a window whose maximum is NaN routes its gradient nowhere.
     """
@@ -371,43 +374,56 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     h, w, c = x.shape
     if k > h or k > w:
         raise ShapeError(f"maxpool2d: window {k} larger than padded input {h}x{w}")
-    oh = _ceil_windows(h, k, stride)
-    ow = _ceil_windows(w, k, stride)
-    ph = max(0, (oh - 1) * stride + k - h)
-    pw = max(0, (ow - 1) * stride + k - w)
-    if ph or pw:
-        padded = np.pad(x.data, ((0, ph), (0, pw), (0, 0)), constant_values=-np.inf)
-    else:
-        padded = x.data
-    # (row, column) slices of the padded input seen by each window offset
-    offsets = [(slice(dy, dy + (oh - 1) * stride + 1, stride),
-                slice(dx, dx + (ow - 1) * stride + 1, stride))
-               for dy in range(k) for dx in range(k)]
-    out = padded[offsets[0]].copy()
-    for sl in offsets[1:]:
-        np.maximum(padded[sl], out, out=out)
+    out = _pool_max(x.data, k, stride)
     result = _make_node(out, "maxpool2d", (x,))
 
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
+            offsets = _pool_offsets(h, w, k, stride)
             taken = np.zeros(out.shape, dtype=bool)
             masks = []
-            for sl in offsets:
-                first = padded[sl] == out
-                first &= ~taken
-                taken |= first
+            for src, dst in offsets:
+                first = x.data[src] == out[dst]
+                first &= ~taken[dst]
+                taken[dst] |= first
                 masks.append(first)
             # Reverse offset order adds into each input pixel in the
             # row-major order of the windows that chose it. Where a window
             # did not choose the pixel, a finite g * first is a signed
             # zero; adding it leaves the sum, which starts at +0 and so is
             # never -0, bit-identical.
-            dpad = np.zeros_like(padded)
-            for sl, first in zip(reversed(offsets), reversed(masks)):
-                dpad[sl] += g * first
-            _accum(x, dpad[:h, :w] if (ph or pw) else dpad)
+            dx = np.zeros_like(x.data)
+            for (src, dst), first in zip(reversed(offsets), reversed(masks)):
+                dx[src] += g[dst] * first
+            _accum(x, dx)
         result._backward_fn = _backward
     return result
+
+
+def _pool_offsets(h: int, w: int, k: int, stride: int) -> list:
+    """Per kxk window offset, in row-major order: the (rows, columns) of
+    the input it reads and of the ceil-mode windows it reaches, those
+    whose pixel at that offset is inside the input (elsewhere it would
+    be -inf padding, which never wins). No window starts in padding."""
+    def reach(n: int, d: int) -> tuple[slice, slice]:
+        windows = -(-(n - k) // stride) + 1
+        if (windows - 1) * stride >= n:
+            windows -= 1
+        m = min(windows, -(-(n - d) // stride))
+        return slice(d, d + (m - 1) * stride + 1, stride), slice(0, m)
+
+    return [tuple(zip(reach(h, dy), reach(w, dx)))
+            for dy in range(k) for dx in range(k)]
+
+
+def _pool_max(arr: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The forward pass of :func:`maxpool2d` on a plain [H,W,C] array,
+    without padding: a running ``np.maximum`` over the offsets."""
+    (src, _), *offsets = _pool_offsets(arr.shape[0], arr.shape[1], k, stride)
+    out = arr[src].copy()
+    for src, dst in offsets:
+        np.maximum(arr[src], out[dst], out=out[dst])
+    return out
 
 
 def global_avgpool(x: Tensor) -> Tensor:
@@ -469,9 +485,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
 
     # the running statistics, before this pass updates them in place
     mu = stats.mean.astype(x.dtype, copy=True)
-    inv_std = 1.0 / np.sqrt(stats.var.astype(x.dtype, copy=False) + BN_EPSILON)
-    scale = gamma.data * inv_std
-    shift = beta.data - mu * scale
+    inv_std, scale, shift = _bn_affine(gamma.data, beta.data, mu,
+                                       stats.var.astype(x.dtype, copy=False))
     out = x.data * scale
     out += shift
     if mode == "online":
@@ -495,6 +510,15 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
                 _accum(x, g * scale)
         result._backward_fn = _backward
     return result
+
+
+def _bn_affine(gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
+               var: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(inv_std, scale, shift)`` of batchnorm by fixed statistics, which
+    maps ``x`` to ``x * scale + shift``."""
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+    scale = gamma * inv_std
+    return inv_std, scale, beta - mean * scale
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ frozen, then the roles swap, until the relative change of the
 phase-mean loss drops below the tolerance or the phase budget runs out.
 Frozen parameters (and their batchnorm statistics) are bit-identical
 across the other branch's phase: the frozen branch's outputs cannot
-change, so they are precomputed once per phase under ``no_grad``, and
-only the trained branch's parameters are stepped. No gradient reaches
+change, so they are precomputed once per phase under ``no_grad`` (on
+training and validation images), and only the trained branch's
+parameters are stepped. No gradient reaches
 the frozen branch. :func:`train` writes a checkpoint after pretraining
 and after each phase; its ``resume.*`` counters say where the schedule
 goes on, so a run resumed from any checkpoint ends as the uninterrupted
@@ -61,8 +62,8 @@ import numpy as np
 from chroma.checkpoint import read_checkpoint, write_checkpoint
 from chroma.config import ConfigError, RunConfig
 from chroma.data import EvalSample, WeakSample, resize_bilinear
-from chroma.modulation import ImageScore, aggregate_scores, modulate
-from chroma.networks import CnNet, VaNet, full_forward, masked_nll_loss
+from chroma.modulation import ImageScore
+from chroma.networks import CnNet, VaNet, full_forward, image_score, masked_nll_loss
 from chroma.saliency import binarize, compute_saliency
 from chroma.tensor import OptimizerState, Tensor, cross_entropy, no_grad, sgd_step
 
@@ -142,13 +143,14 @@ def _batches(order: np.ndarray, size: int):
         yield order[start:start + size]
 
 
-def _prepare_images(samples: list[WeakSample], resolution: int) -> list[np.ndarray]:
-    out = []
-    for s in samples:
+def _prepare_images(samples: list[WeakSample], resolution: int) -> np.ndarray:
+    """The images at the training resolution, as one [N,H,W,3] stack."""
+    out = np.empty((len(samples), resolution, resolution, 3), TRAIN_DTYPE)
+    for row, s in zip(out, samples):
         img = s.image
         if img.shape[:2] != (resolution, resolution):
             img = np.clip(resize_bilinear(img, resolution, resolution), 0.0, 1.0)
-        out.append(img.astype(TRAIN_DTYPE))
+        row[...] = img
     return out
 
 
@@ -162,14 +164,18 @@ def _restore(nets, snap: dict[str, np.ndarray]) -> None:
             a[...] = snap[k]
 
 
-def _validation_accuracy(cn: CnNet, va: VaNet | None, images, labels) -> float:
-    if not images:
+def _validation_accuracy(cn: CnNet, va: VaNet | None, images: np.ndarray,
+                         labels, cached: dict) -> float:
+    """Image accuracy of the model ``(cn, va)`` on the stack ``images``,
+    reusing the outputs in ``cached`` of a frozen branch on them."""
+    if len(images) == 0:
         return 0.0
-    correct = 0
+    colors = cached.get(cn) or _cache_forward(cn, images)
+    maps = [None] * len(images) if va is None else (
+        cached.get(va) or _cache_forward(va, images))
     with no_grad():
-        for img, label in zip(images, labels):
-            correct += full_forward(cn, va, img)[2].argmax() == label
-    return correct / len(images)
+        return image_accuracy([image_score(y, a) for y, a in zip(colors, maps)],
+                              labels)
 
 
 @dataclass
@@ -177,9 +183,9 @@ class _StageData:
     """The training and validation images, at the training resolution,
     and their labels."""
 
-    images: list[np.ndarray]
+    images: np.ndarray  # [N,H,W,3]
     labels: list[int]
-    val_images: list[np.ndarray]
+    val_images: np.ndarray
     val_labels: list[int]
 
     @classmethod
@@ -212,12 +218,15 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
     :func:`lr_at_epoch` on ``epoch - lr_origin``. A non-finite loss or
     gradient restores ``nets`` to the start of the epoch and raises
     :class:`DivergenceError`. Each epoch logs its mean loss and the
-    validation accuracy of the model ``(cn, va)``. Returns the next
-    global epoch index and the epoch-mean losses.
+    validation accuracy of the model ``(cn, va)``, computing the outputs
+    of a branch not in ``nets`` once. Returns the next global epoch
+    index and the epoch-mean losses.
     """
     what = "pretraining" if phase == "PRETRAIN" else f"{phase} phase"
     params = {f"{net.prefix}.{k}": p
               for net in nets for k, p in net.parameters().items()}
+    frozen = {net: _cache_forward(net, data.val_images)
+              for net in (cn, va) if net is not None and net not in nets}
     opt = OptimizerState(learning_rate=config.learning_rate,
                          momentum=config.momentum)
     epoch_losses = []
@@ -247,7 +256,8 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
         if not np.isfinite(mean_loss):
             _restore(nets, good)
             raise DivergenceError(f"{what} diverged at epoch {epoch}")
-        val_acc = _validation_accuracy(cn, va, data.val_images, data.val_labels)
+        val_acc = _validation_accuracy(cn, va, data.val_images, data.val_labels,
+                                       frozen)
         log.add(epoch=epoch, phase=phase, mean_loss=mean_loss,
                 val_image_accuracy=val_acc, learning_rate=opt.learning_rate,
                 wall_time=time.perf_counter() - t0)
@@ -260,9 +270,11 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
 # the training schedule
 
 
-def _cache_forward(net, images) -> list[Tensor]:
-    """Eval-mode outputs of a frozen branch, as reusable constant tensors."""
+def _cache_forward(net, images: np.ndarray) -> list[Tensor]:
+    """Eval-mode outputs of a frozen branch on a stack, as constant tensors."""
     with no_grad():
+        if isinstance(net, VaNet) and len(images):
+            return [Tensor(a) for a in net.forward(images).data]
         return [net.forward(img) for img in images]
 
 
@@ -283,12 +295,12 @@ def _phase_loss(phase: str, cn: CnNet, attention: VaNet | None,
     images = data.images
     if phase == "VA":
         colors = _cache_forward(cn, images)
-        score = lambda i: aggregate_scores(modulate(
-            colors[i], attention.forward(images[i], train=True)))
+        score = lambda i: image_score(colors[i],
+                                      attention.forward(images[i], train=True))
     elif phase == "CN" and attention is not None:
         maps = _cache_forward(attention, images)
-        score = lambda i: aggregate_scores(modulate(
-            cn.forward(images[i], train=True), maps[i]))
+        score = lambda i: image_score(cn.forward(images[i], train=True),
+                                      maps[i])
     else:  # JOINT, or a CN phase without an attention branch
         score = lambda i: full_forward(cn, attention, images[i], train=True)[2]
     return lambda i: cross_entropy(score(i).y_hat, data.labels[i])
@@ -474,24 +486,26 @@ def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
                    resolution: int) -> dict:
     """Metrics over a test split.
 
-    Image-wise accuracy runs the full model at its training resolution.
-    When samples carry masks, pixel-wise accuracy runs the color branch
-    alone at native image size (reusing the first map when the image
-    already is at training resolution), and, when the model has an
-    attention branch (``va`` is not None), attention localization is
-    reported against the ground-truth masks.
+    Image-wise accuracy runs the full model at its training resolution
+    (the attention branch on one stack). When samples carry masks,
+    pixel-wise accuracy runs the color branch alone at native image size
+    (reusing the first map when the image already is at training
+    resolution), and, when the model has an attention branch (``va`` is
+    not None), attention localization is reported against the
+    ground-truth masks.
     """
     if not samples:
         raise ValueError("evaluate_model: empty sample list")
     labels = [s.label for s in samples]
     images = _prepare_images(samples, resolution)
+    maps = [None] * len(samples) if va is None else _cache_forward(va, images)
     scores: list[ImageScore] = []
     loc_stats: list[LocalizationStats] = []
     pixel_accs: list[float] = []
     with no_grad():
-        for sample, img in zip(samples, images):
-            y, attention, score = full_forward(cn, va, img)
-            scores.append(score)
+        for sample, img, attention in zip(samples, images, maps):
+            y = cn.forward(img)
+            scores.append(image_score(y, attention))
             if isinstance(sample, EvalSample):
                 native = (y if sample.image.shape[:2] == img.shape[:2]
                           else cn.forward(sample.image.astype(TRAIN_DTYPE)))
@@ -532,8 +546,8 @@ def build_networks(cfg: RunConfig, num_classes: int,
                    ) -> tuple[CnNet, VaNet | None]:
     """The branches of ``cfg``'s model: freshly initialized, or, given a
     mapping of checkpoint record names to arrays (``records``, laid out
-    as a network's ``state()``), holding copies of the saved parameters
-    and statistics (see :func:`load_model`). The ``no-attention`` model
+    as a network's ``state()``), holding the saved parameters and
+    statistics (see :func:`load_model`). The ``no-attention`` model
     has no attention branch (``va`` is None) and ``no-prior`` builds one
     without the spatial prior."""
     cn = CnNet(num_classes=num_classes, width=cfg.cn_width, dtype=TRAIN_DTYPE,
@@ -573,8 +587,8 @@ def load_model(path) -> tuple[CnNet, VaNet | None, RunConfig, dict]:
 
     The networks are built straight from the checkpoint's records, the
     mapping their ``state()`` lays out: each parameter and statistic is
-    one float32 copy of its record, and
-    nothing is drawn at random. A missing record or a wrong shape raises
+    the array its record was read into, and nothing is drawn at random.
+    A missing record or a wrong shape raises
     :class:`ConfigError`; records the networks do not use, such as the
     untrained attention branch older ``no-attention`` files carry, are
     ignored, as is the optimizer section older files carry.

@@ -13,8 +13,11 @@ parent wrote.
 
 One line per output says ``identical`` or ``differs``. A checkpoint is
 reported as two outputs, its records (everything but the config text)
-and its config text; the config lines that differ are listed under it.
-``trainlog.kv`` is compared without its ``wall_time`` lines. A resumed
+and its config text. Under a differing one are listed the largest
+absolute difference of each record that differs, or the config lines
+that differ; under a differing ``metrics.txt``, ``trainlog.kv`` or
+``prediction.txt``, the lines that differ. ``trainlog.kv`` is compared
+without its ``wall_time`` lines. A resumed
 run is compared with the parent's uninterrupted ``final.ckpt``. Exit
 status 0 means every output is identical.
 """
@@ -88,6 +91,52 @@ def split_checkpoint(path: Path) -> tuple[bytes, str]:
     return raw[:pos] + raw[end:], raw[pos + 4:end].decode()
 
 
+def parse_records(raw: bytes) -> dict[str, tuple[tuple[int, ...], tuple]]:
+    """Name -> (shape, values) of each parameter record, from the first
+    part ``split_checkpoint`` returns."""
+    def u32(at: int) -> int:
+        return struct.unpack_from("<I", raw, at)[0]
+
+    pos = len(b"CNATTN1") + 4
+    for _ in range(u32(pos - 4)):  # the vocabulary names
+        pos += 4 + u32(pos)
+    records = {}
+    pos += 4
+    for _ in range(u32(pos - 4)):
+        name = raw[pos + 4:pos + 4 + u32(pos)].decode()
+        pos += 4 + u32(pos)
+        shape = struct.unpack_from(f"<{u32(pos)}I", raw, pos + 4)
+        pos += 4 + 4 * len(shape)
+        count = 1
+        for d in shape:
+            count *= d
+        records[name] = shape, struct.unpack_from(f"<{count}f", raw, pos)
+        pos += 4 * count
+    return records
+
+
+def record_differences(a: bytes, b: bytes) -> list[str]:
+    """One line per record whose values differ between two checkpoints:
+    its largest absolute difference, or why none can be taken."""
+    ra, rb = parse_records(a), parse_records(b)
+    out = [f"{name}: only in {'parent' if name in ra else 'change'}"
+           for name in sorted(ra.keys() ^ rb.keys())]
+    for name in (n for n in ra if n in rb and ra[n] != rb[n]):
+        (shape_a, va), (shape_b, vb) = ra[name], rb[name]
+        if shape_a != shape_b:
+            out.append(f"{name}: shape {shape_a} vs {shape_b}")
+        else:
+            diff = max(abs(x - y) for x, y in zip(va, vb))
+            out.append(f"{name}: largest absolute difference {diff:.3g}")
+    return out
+
+
+def changed_lines(a: list[str], b: list[str]) -> list[str]:
+    """The lines of ``a`` and ``b`` that differ, as -/+ diff lines."""
+    return [d for d in difflib.unified_diff(a, b, lineterm="", n=0)
+            if d[:1] in "+-" and d[:3] not in ("---", "+++")]
+
+
 class Report:
     def __init__(self):
         self.differs = 0
@@ -101,18 +150,21 @@ class Report:
     def checkpoint(self, a: Path, b: Path, label: str) -> None:
         records_a, config_a = split_checkpoint(a)
         records_b, config_b = split_checkpoint(b)
-        self.line(records_a == records_b, f"{label} records")
-        diff = [d for d in difflib.unified_diff(config_a.splitlines(),
-                                                config_b.splitlines(),
-                                                lineterm="", n=0)
-                if d[:1] in "+-" and d[:3] not in ("---", "+++")]
-        self.line(config_a == config_b, f"{label} config", diff)
+        same = records_a == records_b
+        self.line(same, f"{label} records",
+                  () if same else record_differences(records_a, records_b))
+        self.line(config_a == config_b, f"{label} config",
+                  changed_lines(config_a.splitlines(), config_b.splitlines()))
 
-    def text(self, a: Path, b: Path, label: str, drop: str) -> None:
-        """Compare two text files without the lines containing ``drop``."""
+    def text(self, a: Path, b: Path, label: str, drop: str | None = None
+             ) -> None:
+        """Compare two text files, without the lines containing ``drop``
+        when given (else byte for byte), and list the lines that differ."""
         lines = [[line for line in p.read_text().splitlines()
-                  if drop not in line] for p in (a, b)]
-        self.line(lines[0] == lines[1], label)
+                  if drop is None or drop not in line] for p in (a, b)]
+        same = (lines[0] == lines[1] if drop is not None
+                else a.read_bytes() == b.read_bytes())
+        self.line(same, label, () if same else changed_lines(*lines))
 
     def files(self, a: Path, b: Path, label: str) -> None:
         self.line(a.read_bytes() == b.read_bytes(), label)
@@ -173,13 +225,14 @@ def main() -> int:
                                           f"{name}/{ckpt}")
                 report.text(parent / "trainlog.kv", change / "trainlog.kv",
                             f"{name}/trainlog.kv without wall_time", ".wall_time")
-                report.files(parent / "eval" / "metrics.txt",
-                             change / "eval" / "metrics.txt",
-                             f"{name}/eval/metrics.txt")
+                report.text(parent / "eval" / "metrics.txt",
+                            change / "eval" / "metrics.txt",
+                            f"{name}/eval/metrics.txt")
                 for output in INFER_OUTPUTS:
-                    report.files(parent / "infer" / output,
-                                 change / "infer" / output,
-                                 f"{name}/infer/{output}")
+                    compare = (report.text if output.endswith(".txt")
+                               else report.files)
+                    compare(parent / "infer" / output, change / "infer" / output,
+                            f"{name}/infer/{output}")
                 for ckpt in ckpts:
                     out = work / "resumed" / name / ckpt
                     run(sides["change"], "train", "--config", cfg,

@@ -3,8 +3,10 @@ passes of both branches, on a fixed tiny weight set.
 
 This is the check that every kernel change which reorders floating-point
 arithmetic must pass. The float64 networks must match the composition to
-rounding (``FLOAT64_TOL``); the float32 networks, which training runs,
-must match it within ``FLOAT32_TOL``, stated as an absolute error on the
+rounding (``FLOAT64_TOL``), whether they build a graph or take the one
+no-grad pass (eval mode under ``no_grad``, each batchnorm folded into
+the layer before it); the float32 networks, which training runs, must
+match it within ``FLOAT32_TOL``, stated as an absolute error on the
 color branch's probabilities and the attention map (unit RMS, so its
 entries are of order one), and as a relative error on the batchnorm
 running statistics that ``online`` mode folds in. The float32 gradients
@@ -13,13 +15,14 @@ checks against finite differences, within ``FLOAT32_GRAD_TOL`` relative
 to each gradient's largest entry.
 """
 
+import contextlib
 import zlib
 
 import numpy as np
 import pytest
 
 from chroma.networks import CnNet, VaNet, full_forward
-from chroma.tensor import cross_entropy
+from chroma.tensor import cross_entropy, no_grad
 
 from oracles import (
     batchnorm_loops,
@@ -177,28 +180,52 @@ def va_want():
     return image, attention, stats
 
 
-@pytest.mark.parametrize("mode", ["eval", "online"])
-@pytest.mark.parametrize("dtype, tol", [(np.float64, FLOAT64_TOL),
-                                        (np.float32, FLOAT32_TOL)])
+MODES = ["eval", "online", "eval-no-grad"]
+TOLERANCES = [(np.float64, FLOAT64_TOL), (np.float32, FLOAT32_TOL)]
+
+
+def _forward(net, image, mode):
+    """``net``'s output in ``mode``; ``eval-no-grad`` is the eval-mode
+    pass under ``no_grad``."""
+    with no_grad() if mode == "eval-no-grad" else contextlib.nullcontext():
+        return net.forward(image, train=(mode == "online"))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dtype, tol", TOLERANCES)
 def test_color_branch_matches_oracle(cn_want, mode, dtype, tol):
     image, probs, stats = cn_want
     net = _cn(dtype)
-    out = net.forward(image.astype(dtype), train=(mode == "online"))
+    out = _forward(net, image.astype(dtype), mode)
     assert out.dtype == dtype
     assert np.abs(out.data - probs).max() < tol
-    _check_stats(net, CN_WEIGHTS, stats, mode, tol)
+    _check_stats(net, CN_WEIGHTS, stats, mode.removesuffix("-no-grad"), tol)
 
 
-@pytest.mark.parametrize("mode", ["eval", "online"])
-@pytest.mark.parametrize("dtype, tol", [(np.float64, FLOAT64_TOL),
-                                        (np.float32, FLOAT32_TOL)])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dtype, tol", TOLERANCES)
 def test_attention_branch_matches_oracle(va_want, mode, dtype, tol):
     image, attention, stats = va_want
     net = _va(dtype)
-    out = net.forward(image.astype(dtype), train=(mode == "online"))
+    out = _forward(net, image.astype(dtype), mode)
     assert out.dtype == dtype
     assert np.abs(out.data - attention).max() < tol
-    _check_stats(net, VA_WEIGHTS, stats, mode, tol)
+    _check_stats(net, VA_WEIGHTS, stats, mode.removesuffix("-no-grad"), tol)
+
+
+@pytest.mark.parametrize("dtype, tol", TOLERANCES)
+def test_each_row_of_a_stack_matches_its_single_image_call(dtype, tol):
+    r = VA_KWARGS["resolution"]
+    stack = np.stack([_image((r, r), seed) for seed in (4, 6, 7)]).astype(dtype)
+    net = _va(dtype)
+    with no_grad():
+        maps = net.forward(stack)
+        single = [net.forward(image).data for image in stack]
+    graph = [net.forward(image).data for image in stack]
+    assert maps.shape == (3, r, r) and maps.dtype == dtype
+    for row, one, built in zip(maps.data, single, graph):
+        assert np.abs(row - one).max() < tol
+        assert np.abs(row - built).max() < tol
 
 
 @pytest.mark.parametrize("mode", ["eval", "online"])

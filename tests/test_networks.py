@@ -261,6 +261,39 @@ class TestFullForward:
         assert type(y) is Tensor and y.shape == (16, 16, 5)
         assert attention is None
 
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_no_grad_eval_pass_keeps_statistics_and_builds_nothing(self,
+                                                                   stack):
+        rng = np.random.default_rng(21)
+        cn, va = self._nets()
+        for net in (cn, va):  # stand-ins for trained statistics
+            for s in net.stats().values():
+                s.mean[...] = rng.normal(size=s.mean.shape)
+                s.var[...] = rng.uniform(0.5, 2.0, size=s.var.shape)
+        before = [a.tobytes() for net in (cn, va)
+                  for a in net.state().values()]
+        images = rng.uniform(size=(3, 16, 16, 3))
+        with no_grad():
+            outputs = [va.forward(images)] if stack else [
+                out for image in images
+                for out in full_forward(cn, va, image)[:2]]
+        assert [a.tobytes() for net in (cn, va)
+                for a in net.state().values()] == before
+        for out in outputs:
+            assert out._parents == () and not out.requires_grad
+        assert all(p.grad is None for net in (cn, va)
+                   for p in net.parameters().values())
+
+    def test_stack_is_no_grad_eval_only(self):
+        _, va = self._nets()
+        images = np.full((2, 16, 16, 3), 0.5)
+        with pytest.raises(ShapeError, match=r"\[H,W,3\] image,"):
+            va.forward(images)
+        with no_grad(), pytest.raises(ShapeError, match=r"\[H,W,3\] image,"):
+            va.forward(images, train=True)
+        with no_grad():
+            assert va.forward(images).shape == (2, 16, 16)
+
     def test_deterministic_under_no_grad(self):
         rng = np.random.default_rng(17)
         cn, va = self._nets()

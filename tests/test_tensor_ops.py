@@ -22,6 +22,7 @@ from chroma.tensor import (
     fully_connected,
     cross_entropy,
     tensor_sum,
+    _deconv_planes,
     _softmax_node,
 )
 
@@ -99,23 +100,31 @@ class TestDeconv2d:
         assert out.shape == (4, 4, 1)
         assert np.array_equal(out.data, np.ones((4, 4, 1)))
 
-    def test_tiling_scatter_matches_adding_onto_zeros(self):
-        # stride == k: each output pixel takes exactly one patch value,
-        # added onto +0, so a -0 comes out as +0
-        from chroma.tensor import _col2im
-        rng = np.random.default_rng(12)
-        oh, ow, k, c = 3, 2, 2, 3
-        cols = rng.normal(size=(oh * ow, k * k * c))
-        cols[rng.random(cols.shape) < 0.3] = -0.0
-        got = _col2im(cols, oh * k, ow * k, c, k, k, oh, ow)
-        patches = cols.reshape(oh, ow, k, k, c)
-        want = np.zeros((oh * k, ow * k, c))
-        for i in range(oh):
-            for j in range(ow):
-                for dy in range(k):
-                    for dx in range(k):
-                        want[i * k + dy, j * k + dx] += patches[i, j, dy, dx]
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("k, stride", [(3, 2), (2, 2), (1, 2), (3, 1),
+                                           (4, 3)])
+    @pytest.mark.parametrize("crop", [-1, 0, 1, 2])
+    def test_parity_planes_match_adding_taps_onto_zeros(self, k, stride, crop):
+        # each output pixel sums its taps in row-major tap order, starting
+        # from +0 (so a -0 comes out as +0, also where stride == k tiles
+        # the grid); the map is cropped to its top-left corner, or padded
+        # with zeros (as the conv input gradient needs)
+        rng = np.random.default_rng(10 * k + stride + 100 * (crop + 1))
+        h, w, cin, cout = 4, 3, 2, 3
+        x = rng.normal(size=(h, w, cin))
+        x[rng.random(x.shape) < 0.3] = -0.0
+        kernel = rng.normal(size=(k, k, cout, cin))
+        taps = (x.reshape(h * w, cin) @ kernel.reshape(k * k * cout, cin).T
+                ).reshape(h, w, k, k, cout)
+        oh, ow = (h - 1) * stride + k, (w - 1) * stride + k
+        want = np.zeros((oh + 1, ow + 2, cout))
+        for dy in range(k):
+            for dx in range(k):
+                for i in range(h):
+                    for j in range(w):
+                        want[i * stride + dy, j * stride + dx] += taps[i, j, dy, dx]
+        oh, ow = max(1, oh - crop), max(1, ow - 2 * crop)
+        got = _deconv_planes(x, kernel, stride, oh, ow)
+        assert got.tobytes() == want[:oh, :ow].copy().tobytes()
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(2)

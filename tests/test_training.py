@@ -246,6 +246,45 @@ class TestAlternatingTrain:
                              (frozenset({"cn"}), "cn"): {True},
                              (frozenset({"cn"}), "va"): {False}}
 
+    @pytest.mark.parametrize("phase", ["VA", "CN"])
+    def test_cached_validation_equals_the_uncached_value(self, phase,
+                                                         monkeypatch):
+        from chroma.training import (TrainLog, _cache_forward, _phase_loss,
+                                     _run_epochs, _StageData,
+                                     _validation_accuracy)
+        cfg = _tiny_run_config(n_per_class=8)
+        weak, _ = _tiny_dataset(cfg)
+        cn, va = build_networks(cfg, len(cfg.vocab()))
+        data = _StageData.prepare(cfg, weak["train"], weak["val"])
+        trained, frozen = (va, cn) if phase == "VA" else (cn, va)
+        before = _cache_forward(frozen, data.val_images)
+        calls = {"n": 0}
+        real = type(frozen).forward
+
+        def counting(net, *args, **kwargs):
+            calls["n"] += net is frozen
+            return real(net, *args, **kwargs)
+
+        log = TrainLog()
+        monkeypatch.setattr(type(frozen), "forward", counting)
+        _run_epochs(cfg, data, log, phase=phase, nets=[trained],
+                    image_loss=_phase_loss(phase, cn, va, data),
+                    batch_size=cfg.va_batch_size, n_epochs=2, epoch=0,
+                    lr_origin=0, cn=cn, va=va)
+        monkeypatch.undo()
+        # the frozen branch ran once over the validation and once over the
+        # training images, per image or (the attention branch) per stack
+        assert calls["n"] == (len(data.val_images) + len(data.images)
+                              if phase == "VA" else 2)
+        after = _cache_forward(frozen, data.val_images)
+        assert [t.data.tobytes() for t in after] == \
+            [t.data.tobytes() for t in before]
+        uncached = _validation_accuracy(cn, va, data.val_images,
+                                        data.val_labels, {})
+        assert log.records[-1].val_image_accuracy == uncached
+        assert _validation_accuracy(cn, va, data.val_images, data.val_labels,
+                                    {frozen: before}) == uncached
+
     def test_no_attention_ablation_runs_cn_only(self, tmp_path):
         cfg = _tiny_run_config(ablation="no-attention", max_phases=2,
                                convergence_tol=0.0)
@@ -537,6 +576,24 @@ class TestPersistence:
         for net in nets:
             for name, p in net.parameters().items():
                 assert (p.grad is not None) == (net is cn2), name
+
+    def test_networks_built_from_one_mapping_share_no_array(self, tmp_path):
+        cfg = _tiny_run_config()
+        path = tmp_path / "model.ckpt"
+        save_model(path, *build_networks(cfg, len(cfg.vocab())), cfg)
+        records = read_checkpoint(path).params
+        ids = {id(a) for a in records.values()}
+        first = build_networks(cfg, len(cfg.vocab()), records=records)
+        second = build_networks(cfg, len(cfg.vocab()), records=records)
+        arrays = [[a for net in nets for a in net.state().values()]
+                  for nets in (first, second)]
+        # the first build takes the read arrays over, the second copies
+        assert {id(a) for a in arrays[0]} <= ids
+        assert not {id(a) for a in arrays[1]} & ids
+        for a in arrays[0]:
+            assert not any(np.may_share_memory(a, b) for b in arrays[1])
+        for a, b in zip(*arrays):
+            assert a.tobytes() == b.tobytes() and b.flags.writeable
 
     def test_a_loaded_model_does_not_hold_the_file_buffer(self, tmp_path):
         import tracemalloc
