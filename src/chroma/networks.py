@@ -275,15 +275,15 @@ class CnNet(_ParamStore):
                                                   p["head.conv.b"]))
 
         t = conv2d(x, p["trunk.conv.w"], p["trunk.conv.b"])
-        t = relu(batchnorm(t, *self.trunk_bn, mode=mode))
+        t = batchnorm(t, *self.trunk_bn, mode=mode)
         t = maxpool2d(t, 3, 2)
         t = deconv2d(t, p["up.deconv.w"], stride=2)
-        t = relu(batchnorm(t, *self.up_bn, mode=mode))
+        t = batchnorm(t, *self.up_bn, mode=mode)
         if t.shape[:2] != (h, w):
             t = crop_spatial(t, h, w)
 
         s = conv2d(x, p["skip.conv.w"], p["skip.conv.b"])
-        s = relu(batchnorm(s, *self.skip_bn, mode=mode))
+        s = batchnorm(s, *self.skip_bn, mode=mode)
 
         logits = conv1x1_concat(t, s, p["head.conv.w"], p["head.conv.b"])
         return channel_softmax(logits)
@@ -378,7 +378,7 @@ class VaNet(_ParamStore):
         h = x
         for i in range(self.stages):
             h = conv2d(h, p[f"enc{i}.conv.w"], p[f"enc{i}.conv.b"], padding=1)
-            h = relu(batchnorm(h, *self.enc_bns[i], mode=mode))
+            h = batchnorm(h, *self.enc_bns[i], mode=mode)
             h = maxpool2d(h, 2, 2)
         g = self.grid
         flat = reshape(h, (g * g * self.channels[-1],))
@@ -389,7 +389,7 @@ class VaNet(_ParamStore):
             h = modulate(h, p["prior.kernel"])
         for i in range(self.stages):
             h = deconv2d(h, p[f"dec{i}.deconv.w"], stride=2)
-            h = relu(batchnorm(h, *self.dec_bns[i], mode=mode))
+            h = batchnorm(h, *self.dec_bns[i], mode=mode)
         if h.shape[:2] != (self.resolution, self.resolution):
             h = crop_spatial(h, self.resolution, self.resolution)
         a = relu(conv2d(h, p["head.conv.w"], p["head.conv.b"], padding=1))

@@ -18,7 +18,8 @@ floats, which never upcast 32-bit arrays.
 
 All layer primitives treat the last axis as the channel axis and carry
 no batch dimension; mini-batching is done by accumulating gradients over
-per-image graphs (see ``Tensor.backward``'s ``seed`` argument).
+per-image graphs (see ``Tensor.backward``'s ``seed`` argument). Each
+conv layer's ``relu(bn(x))`` tail is one node, :func:`batchnorm`.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
 
 BN_EPSILON = 1e-5
 BN_STAT_DECAY = 0.9
+_FC_ROW_BLOCK = 256  # rows of a fully connected weight gradient per outer product
 LOG_CLAMP = 1e-12
 
 _DEFAULT_DTYPE = np.float64
@@ -231,7 +233,12 @@ def _im2col(arr: np.ndarray, k: int, stride: int) -> np.ndarray:
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
            padding: int = 0) -> Tensor:
-    """2-D cross-correlation of [H,W,Cin] with a [k,k,Cin,Cout] kernel."""
+    """2-D cross-correlation of [H,W,Cin] with a [k,k,Cin,Cout] kernel.
+
+    The forward pass and the kernel gradient are GEMMs over the im2col
+    patch matrix; the input gradient is one more, over the patches of
+    the zero-spread output gradient (:func:`_conv_input_grad`).
+    """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 3:
         raise ShapeError(f"conv2d: input must be [H,W,C], got {x.shape}")
@@ -268,13 +275,32 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
                 _accum(kernel, (cols.T @ g2).reshape(kernel.shape))
             if bias.requires_grad:
                 _accum(bias, g2.sum(axis=0))
-            if x.requires_grad:  # the deconv of g, onto the padded grid
-                dpad = _deconv_planes(g, kernel.data, stride, *padded.shape[:2])
-                if padding:
-                    dpad = dpad[padding:padding + h, padding:padding + w]
-                _accum(x, dpad)
+            if x.requires_grad:
+                _accum(x, _conv_input_grad(g, kernel.data, stride, padding, h, w))
         result._backward_fn = _backward
     return result
+
+
+def _conv_input_grad(g: np.ndarray, kernel: np.ndarray, stride: int,
+                     padding: int, h: int, w: int) -> np.ndarray:
+    """The [h,w,Cin] input gradient of :func:`conv2d` for an output
+    gradient ``g`` [oh,ow,Cout], as one GEMM.
+
+    Padded input row ``p`` collects ``g[i] @ kernel[dy].T`` over ``i *
+    stride + dy = p``: a stride-1 cross-correlation of ``g``, zero-dilated
+    by the stride and zero-padded by ``k - 1``, with the kernel flipped
+    in space. Of that map only the windows of the unpadded input are
+    formed, and their im2col times the flipped kernel ``[k*k*Cout, Cin]``
+    is the gradient.
+    """
+    k, cin, cout = kernel.shape[0], kernel.shape[2], kernel.shape[3]
+    oh, ow = g.shape[:2]
+    full = np.zeros((h + 2 * padding + k - 1, w + 2 * padding + k - 1, cout),
+                    g.dtype)
+    full[k - 1:k + (oh - 1) * stride:stride, k - 1:k + (ow - 1) * stride:stride] = g
+    spread = full[padding:padding + h + k - 1, padding:padding + w + k - 1]
+    flipped = kernel[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
+    return (_im2col(spread, k, 1) @ flipped).reshape(h, w, cin)
 
 
 def deconv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
@@ -455,7 +481,8 @@ class RunningStats:
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
               mode: str) -> Tensor:
-    """Per-channel affine normalization by running statistics.
+    """Per-channel affine normalization by running statistics, rectified:
+    the conv layer tail ``relu(bn(x))`` as one node.
 
     Both modes normalize with ``stats`` (constants to the backward
     pass). ``eval`` leaves them unchanged; ``online`` then folds the
@@ -464,14 +491,20 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     train in ``online`` mode: normalizing each per-image forward pass by
     its own statistics would both discard absolute color information and
     leave the running averages unrepresentative of what training
-    actually computed.
+    actually computed. The statistics are taken in two passes, the mean
+    and then the sum of squares about it (stable where ``E[x^2] - m^2``
+    cancels; Chan, Golub & LeVeque, 1983), each sum as a BLAS product
+    with a vector of ones.
 
-    With the statistics fixed, the layer is the per-channel affine map
-    ``x * scale + shift``, where ``scale = gamma / sqrt(var + eps)`` and
-    ``shift = beta - mean * scale`` (Ioffe & Szegedy, 2015), computed as
-    one multiply and one in-place add over ``x``. The backward pass
-    forms ``x - mean`` only when ``gamma`` needs a gradient, from a copy
-    of the mean taken before ``online`` mode updates ``stats``.
+    With the statistics fixed, the layer is ``max(x * scale + shift, 0)``,
+    where ``scale = gamma / sqrt(var + eps)`` and ``shift = beta - mean *
+    scale`` (Ioffe & Szegedy, 2015), computed as one multiply into a
+    fresh array, then an add and the rectification in place. The
+    backward pass masks the output gradient once by ``out > 0``, exactly
+    as a separate ReLU would, and derives the three gradients from that
+    mask, scaling it in place into the input's. It forms ``x - mean``
+    only when ``gamma`` needs a gradient, from a copy of the mean taken
+    before ``online`` mode updates ``stats``.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     c = x.shape[-1]
@@ -481,7 +514,6 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     if mode not in ("eval", "online"):
         raise ValueError(f"batchnorm: mode must be 'eval' or 'online', "
                          f"got {mode!r}")
-    axes = tuple(range(x.data.ndim - 1))
 
     # the running statistics, before this pass updates them in place
     mu = stats.mean.astype(x.dtype, copy=True)
@@ -489,27 +521,39 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
                                        stats.var.astype(x.dtype, copy=False))
     out = x.data * scale
     out += shift
+    np.maximum(out, 0.0, out=out)
     if mode == "online":
         # folded in only now: the pass has normalized by the old values
-        cur_mu = x.data.mean(axis=axes, keepdims=True)
-        cur_var = x.data.var(axis=axes, mean=cur_mu)
-        cur_mu = cur_mu.reshape(c)
+        x2d = x.data.reshape(-1, c)
+        cur_mu = _channel_sum(x2d)
+        cur_mu /= len(x2d)
+        sq = x2d - cur_mu
+        sq *= sq
+        cur_var = _channel_sum(sq)
+        cur_var /= len(x2d)
         stats.mean[...] = BN_STAT_DECAY * stats.mean + (1.0 - BN_STAT_DECAY) * cur_mu
         stats.var[...] = BN_STAT_DECAY * stats.var + (1.0 - BN_STAT_DECAY) * cur_var
     result = _make_node(out, "batchnorm", (x, gamma, beta))
 
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
+            gm = g * (out > 0.0)
             if gamma.requires_grad:
                 centered = x.data - mu
-                centered *= g
-                _accum(gamma, centered.sum(axis=axes) * inv_std)
+                centered *= gm
+                _accum(gamma, _channel_sum(centered.reshape(-1, c)) * inv_std)
             if beta.requires_grad:
-                _accum(beta, g.sum(axis=axes))
+                _accum(beta, _channel_sum(gm.reshape(-1, c)))
             if x.requires_grad:
-                _accum(x, g * scale)
+                gm *= scale
+                _accum(x, gm)
         result._backward_fn = _backward
     return result
+
+
+def _channel_sum(a2d: np.ndarray) -> np.ndarray:
+    """Column sums of an [N, C] array, as one BLAS product."""
+    return np.ones(len(a2d), a2d.dtype) @ a2d
 
 
 def _bn_affine(gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
@@ -698,7 +742,9 @@ def crop_spatial(x: Tensor, h: int, w: int) -> Tensor:
     result = _make_node(out, "crop_spatial", (x,))
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
-            dx = np.zeros_like(x.data)
+            dx = np.empty_like(x.data)
+            dx[h:] = 0.0
+            dx[:h, w:] = 0.0
             dx[:h, :w] = g
             _accum(x, dx)
         result._backward_fn = _backward
@@ -728,7 +774,14 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 def fully_connected(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map [N] @ [N,M] + [M]."""
+    """Affine map [N] @ [N,M] + [M].
+
+    The weight gradient is the outer product of ``x`` and the output
+    gradient. The first one ``weights`` receives becomes its ``grad``;
+    later ones are added into it in place, one block of rows at a time,
+    so that no [N,M] temporary is built: the same products and adds as
+    ``grad += np.outer(x, g)``, byte for byte.
+    """
     x, weights, bias = _as_tensor(x), _as_tensor(weights), _as_tensor(bias)
     if x.data.ndim != 1 or weights.data.ndim != 2:
         raise ShapeError("fully_connected: expects x [N] and weights [N,M]")
@@ -745,7 +798,12 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
             if x.requires_grad:
                 _accum(x, weights.data @ g)
             if weights.requires_grad:
-                _accum(weights, np.outer(x.data, g))
+                if weights.grad is None:
+                    _accum(weights, np.outer(x.data, g))
+                else:  # grad += np.outer(x, g), a block of rows at a time
+                    for i in range(0, n, _FC_ROW_BLOCK):
+                        rows = slice(i, i + _FC_ROW_BLOCK)
+                        weights.grad[rows] += np.outer(x.data[rows], g)
             if bias.requires_grad:
                 _accum(bias, g, shared=True)
         result._backward_fn = _backward

@@ -55,11 +55,6 @@ class ColorVocabulary:
         d[np.diag_indices(len(self))] = np.inf
         return float(d.min())
 
-    def nearest(self, rgb: np.ndarray) -> int:
-        """Index of the anchor nearest to an RGB value in [0, 1]."""
-        d = ((self.anchor_floats() - np.asarray(rgb)) ** 2).sum(axis=1)
-        return int(np.argmin(d))
-
 
 _BASIC = {
     "black": (0, 0, 0),

@@ -26,6 +26,7 @@ from chroma.tensor import (
     reshape,
     sgd_step,
     finite_diff_check,
+    _deconv_planes,
 )
 
 
@@ -208,6 +209,17 @@ def _check(fn, wrt, tol=1e-4, eps=1e-5):
     assert err < tol, f"gradient error {err:.3g} >= {tol}"
 
 
+def _off_kink(x, gamma, beta, stats, margin=0.2):
+    """Move each input whose pre-activation under the rectified batchnorm
+    lies within ``margin`` of zero to a pre-activation of +-0.5, so that
+    finite differences never straddle the kink."""
+    scale = gamma.data / np.sqrt(stats.var + 1e-5)
+    pre = (x.data - stats.mean) * scale + beta.data
+    pre = np.where(np.abs(pre) < margin, np.copysign(0.5, pre), pre)
+    x.data[...] = (pre - beta.data) / scale + stats.mean
+    assert 0.2 < (pre > 0).mean() < 0.8  # both sides of the kink
+
+
 class TestLayerGradients:
     """Central finite differences for every differentiable op (64-bit)."""
 
@@ -251,10 +263,11 @@ class TestLayerGradients:
         beta = Tensor(rng.normal(size=3), requires_grad=True)
         stats = RunningStats(np.array([0.2, -0.4, 0.1]), np.array([0.7, 1.8, 1.2]))
 
+        _off_kink(x, gamma, beta, stats)
+
         def loss():
             # each pass folds x's statistics into a fresh copy
-            h = batchnorm(x, gamma, beta, stats.copy(), mode="online")
-            return tensor_sum(relu(h))
+            return tensor_sum(batchnorm(x, gamma, beta, stats.copy(), mode="online"))
 
         for wrt in (x, gamma, beta):
             _check(loss, wrt)
@@ -266,8 +279,10 @@ class TestLayerGradients:
         beta = Tensor(np.array([0.1, -0.2]), requires_grad=True)
         stats = RunningStats(np.array([0.3, -0.1]), np.array([1.5, 0.8]))
 
+        _off_kink(x, gamma, beta, stats)
+
         def loss():
-            return tensor_sum(relu(batchnorm(x, gamma, beta, stats, mode="eval")))
+            return tensor_sum(batchnorm(x, gamma, beta, stats, mode="eval"))
 
         for wrt in (x, gamma, beta):
             _check(loss, wrt)
@@ -316,3 +331,60 @@ class TestLayerGradients:
 
         for wrt in (x, w, b):
             _check(loss, wrt)
+
+
+class TestConvInputGradient:
+    """conv2d's input gradient, one GEMM over the spread output gradient,
+    against the transposed-convolution rule it replaced and against
+    central differences (exact here: the loss is linear in x)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_matches_deconv_rule_and_finite_differences(self, k, stride, padding):
+        rng = np.random.default_rng(100 * k + 10 * stride + padding)
+        h, w = 7, 6
+        for cin, cout in ((2, 3), (8, 1)):
+            x = Tensor(rng.normal(size=(h, w, cin)), requires_grad=True)
+            kernel = rng.normal(size=(k, k, cin, cout))
+            bias = np.zeros(cout)
+            out = conv2d(x, Tensor(kernel), Tensor(bias), stride=stride,
+                         padding=padding)
+            g = rng.normal(size=out.shape)
+            out._backward_fn(g)
+            old = _deconv_planes(g, kernel, stride, h + 2 * padding,
+                                 w + 2 * padding)[padding:padding + h,
+                                                  padding:padding + w]
+            assert np.abs(x.grad - old).max() < 1e-12
+
+            def loss(arr):
+                out = conv2d(Tensor(arr), Tensor(kernel), Tensor(bias),
+                             stride=stride, padding=padding)
+                return float((out.data * g).sum())
+
+            numeric = np.empty_like(x.data)
+            for idx in np.ndindex(x.shape):
+                step = np.zeros_like(x.data)
+                step[idx] = 0.5
+                numeric[idx] = loss(x.data + step) - loss(x.data - step)
+            assert np.abs(x.grad - numeric).max() < 1e-9
+
+
+class TestFullyConnectedWeightGradient:
+    def test_blocked_update_is_byte_identical_to_outer_products(self):
+        # more rows than one block, and not a multiple of it
+        rng = np.random.default_rng(41)
+        n, m = 600, 40
+        w = Tensor(rng.normal(size=(n, m)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(m, np.float32))
+        want = None
+        for _ in range(6):
+            x = rng.normal(size=n).astype(np.float32)
+            g = rng.normal(size=m).astype(np.float32)
+            fully_connected(Tensor(x), w, b)._backward_fn(g)
+            if want is None:
+                want = np.outer(x, g)
+            else:
+                want += np.outer(x, g)
+        assert w.grad.dtype == np.float32
+        assert w.grad.tobytes() == want.tobytes()

@@ -27,6 +27,7 @@ from chroma.tensor import (
 )
 
 from oracles import (
+    batchnorm_loops,
     conv2d_loops,
     deconv2d_loops,
     maxpool2d_loops,
@@ -34,6 +35,8 @@ from oracles import (
     avgpool_loops,
     fc_loops,
     inner,
+    relu_loops,
+    running_stats_loops,
 )
 
 
@@ -107,7 +110,7 @@ class TestDeconv2d:
         # each output pixel sums its taps in row-major tap order, starting
         # from +0 (so a -0 comes out as +0, also where stride == k tiles
         # the grid); the map is cropped to its top-left corner, or padded
-        # with zeros (as the conv input gradient needs)
+        # with zeros
         rng = np.random.default_rng(10 * k + stride + 100 * (crop + 1))
         h, w, cin, cout = 4, 3, 2, 3
         x = rng.normal(size=(h, w, cin))
@@ -253,17 +256,17 @@ class TestBatchnorm:
         out = batchnorm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
                         stats, mode=mode)
         want = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
-        assert np.abs(out.data - want).max() < 1e-5
+        assert np.abs(out.data - np.maximum(want, 0.0)).max() < 1e-5
 
     @pytest.mark.parametrize("mode", ["online", "eval"])
-    def test_zero_gamma_gives_beta(self, mode):
+    def test_zero_gamma_gives_rectified_beta(self, mode):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 4, 2))
         beta = np.array([1.5, -2.0])
         out = batchnorm(Tensor(x), Tensor(np.zeros(2)), Tensor(beta),
                         RunningStats(np.array([0.5, -1.0]), np.array([2.0, 0.3])),
                         mode=mode)
-        assert np.array_equal(out.data, np.broadcast_to(beta, (4, 4, 2)))
+        assert np.array_equal(out.data, np.broadcast_to([1.5, 0.0], (4, 4, 2)))
 
     @pytest.mark.parametrize("mode", ["online", "eval"])
     def test_zero_variance_channel_is_safe(self, mode):
@@ -289,7 +292,7 @@ class TestBatchnorm:
         frozen = stats.copy()
         out = batchnorm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
                         stats, mode="online")
-        want = (x - frozen.mean) / np.sqrt(frozen.var + 1e-5)
+        want = np.maximum((x - frozen.mean) / np.sqrt(frozen.var + 1e-5), 0.0)
         assert np.abs(out.data - want).max() < 1e-12
         # statistics were folded in after normalization
         assert np.allclose(stats.mean, 0.9 * frozen.mean + 0.1 * x.mean(axis=(0, 1)))
@@ -310,30 +313,30 @@ class TestBatchnorm:
         assert np.array_equal(frozen.var, stats.var)
 
 
-def _batchnorm_reference(x, gamma, beta, mean, var, mode, g):
-    """The affine composition written out: output, running statistics
+def _batchnorm_oracle(x, gamma, beta, mean, var, g):
+    """The rectified layer from the loop oracles, in float64: its output
     and the gradients of x, gamma and beta for an output gradient g."""
-    axes = (0, 1)
+    out = relu_loops(batchnorm_loops(x, gamma, beta, mean, var))
+    gm = g * (out > 0.0)
     inv_std = 1.0 / np.sqrt(var + 1e-5)
-    scale = gamma * inv_std
-    shift = beta - mean * scale
-    out = x * scale + shift
-    dx = g * scale
-    dgamma = ((x - mean) * g).sum(axis=axes) * inv_std
-    if mode == "online":
-        mean = 0.9 * mean + (1.0 - 0.9) * x.mean(axis=axes)
-        var = 0.9 * var + (1.0 - 0.9) * x.var(axis=axes)
-    return out, mean, var, dx, dgamma, g.sum(axis=axes)
+    dgamma = ((x - mean) * gm).sum(axis=(0, 1)) * inv_std
+    return out, gm * gamma * inv_std, dgamma, gm.sum(axis=(0, 1))
 
 
-def _batchnorm_case(dtype, seed=31):
+def _batchnorm_case(dtype, seed=31, shape=(9, 7, 5)):
     rng = np.random.default_rng(seed)
-    x = (rng.normal(size=(9, 7, 5)) * 3.0 + 1.5).astype(dtype)
-    gamma = rng.normal(size=5).astype(dtype)
-    beta = rng.normal(size=5).astype(dtype)
-    mean = rng.normal(size=5).astype(dtype)
-    var = (rng.random(5) + 0.5).astype(dtype)
+    x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
+    c = shape[-1]
+    gamma = rng.normal(size=c).astype(dtype)
+    beta = rng.normal(size=c).astype(dtype)
+    mean = rng.normal(size=c).astype(dtype)
+    var = (rng.random(c) + 0.5).astype(dtype)
     g = rng.normal(size=x.shape).astype(dtype)
+    # keep every pre-activation off the ReLU's kink
+    scale = gamma / np.sqrt(var + 1e-5)
+    pre = (x - mean) * scale + beta
+    pre = np.where(np.abs(pre) < 0.1, np.copysign(0.5, pre), pre)
+    x = ((pre - beta) / scale + mean).astype(dtype)
     return x, gamma, beta, mean, var, g
 
 
@@ -346,18 +349,45 @@ def _batchnorm_run(x, gamma, beta, stats, mode, g):
     return out.data, xt.grad, gt.grad, bt.grad
 
 
-class TestBatchnormBytes:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestRectifiedBatchnorm:
     @pytest.mark.parametrize("mode", ["online", "eval"])
-    def test_bit_equal_to_straightforward_composition(self, mode, dtype):
-        x, gamma, beta, mean, var, g = _batchnorm_case(dtype)
+    def test_matches_rectified_loop_oracle(self, mode):
+        x, gamma, beta, mean, var, g = _batchnorm_case(np.float64)
         stats = RunningStats(mean.copy(), var.copy())
-        out, dx, dgamma, dbeta = _batchnorm_run(x, gamma, beta, stats, mode, g)
-        got = (out, stats.mean, stats.var, dx, dgamma, dbeta)
-        want = _batchnorm_reference(x, gamma, beta, mean, var, mode, g)
-        for name, a, b in zip(("out", "mean", "var", "dx", "dgamma", "dbeta"),
-                              got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        got = _batchnorm_run(x, gamma, beta, stats, mode, g)
+        want = _batchnorm_oracle(x, gamma, beta, mean, var, g)
+        assert 0.2 < (got[0] > 0).mean() < 0.8  # both sides of the kink
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, want):
+            assert np.abs(a - b).max() < 1e-10, name
+        want_stats = (running_stats_loops(x, mean, var) if mode == "online"
+                      else (mean, var))
+        for a, b in zip((stats.mean, stats.var), want_stats):
+            assert np.abs(a - b).max() < 1e-10
+
+    @pytest.mark.parametrize("mode", ["online", "eval"])
+    def test_output_and_input_gradient_bit_equal_to_a_separate_relu(self, mode):
+        # the mask is formed once from the rectified output, exactly as
+        # relu's backward forms it from its input
+        x, gamma, beta, mean, var, g = _batchnorm_case(np.float32)
+        out, dx, _, _ = _batchnorm_run(x, gamma, beta,
+                                       RunningStats(mean.copy(), var.copy()),
+                                       mode, g)
+        scale = gamma * (1.0 / np.sqrt(var + 1e-5))
+        pre = x * scale + (beta - mean * scale)
+        assert out.tobytes() == np.maximum(pre, 0.0).tobytes()
+        assert dx.tobytes() == ((g * (pre > 0.0)) * scale).tobytes()
+
+    def test_float32_running_statistics_within_relative_1e5(self):
+        # a color-branch-sized map: 4096 pixels summed per channel
+        x, gamma, beta, mean, var, g = _batchnorm_case(np.float32, seed=33,
+                                                       shape=(64, 64, 6))
+        stats = RunningStats(mean.copy(), var.copy())
+        batchnorm(Tensor(x), Tensor(gamma), Tensor(beta), stats, mode="online")
+        want = running_stats_loops(x.astype(np.float64), mean.astype(np.float64),
+                                   var.astype(np.float64))
+        for a, b in zip((stats.mean, stats.var), want):
+            assert a.dtype == np.float32
+            assert np.abs(a - b).max() / np.abs(b).max() < 1e-5
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_online_gradients_use_the_pre_update_statistics(self, dtype):
