@@ -23,6 +23,7 @@ from chroma.tensor import (
     Tensor,
     batchnorm,
     channel_softmax,
+    conv1x1_batchnorm,
     conv1x1_concat,
     conv2d,
     cross_entropy,
@@ -105,6 +106,32 @@ def _op_checks() -> list[tuple[str, float, float]]:
     for name, wrt in (("batchnorm/input", xb), ("batchnorm/gamma", gamma),
                       ("batchnorm/beta", beta)):
         results.append((name, finite_diff_check(bn_loss, wrt), OP_TOLERANCE))
+
+    crng = np.random.default_rng(1235)  # its own: the other probes keep their draws
+    xc = Tensor(crng.normal(size=(4, 4, 4)), requires_grad=True)
+    kc = Tensor(crng.normal(size=(1, 1, 4, 3)), requires_grad=True)
+    bc = Tensor(crng.normal(size=3), requires_grad=True)
+    gc = Tensor(crng.normal(size=3) + 1.5, requires_grad=True)
+    betac = Tensor(crng.normal(size=3) + 0.5, requires_grad=True)
+    c_stats = RunningStats(np.array([0.2, -0.4, 0.3]), np.array([0.8, 1.2, 2.5]))
+    # solve for inputs whose pre-activations are drawn at least 0.2 off
+    # the kink: the 1x1 conv must output ``conv_out`` at every pixel
+    pre = crng.normal(size=(4, 4, 3))
+    pre = np.where(np.abs(pre) < 0.2, np.copysign(0.5, pre), pre)
+    c_scale = gc.data / np.sqrt(c_stats.var + BN_EPSILON)
+    conv_out = (pre - betac.data) / c_scale + c_stats.mean
+    kmat = kc.data.reshape(4, 3)
+    xc.data += (conv_out - bc.data - xc.data @ kmat) @ np.linalg.pinv(kmat)
+
+    for mode in ("eval", "online"):
+        def conv_bn_loss(mode=mode):
+            return tensor_sum(conv1x1_batchnorm(xc, kc, bc, gc, betac,
+                                                c_stats.copy(), mode=mode))
+
+        for name, wrt in (("input", xc), ("kernel", kc), ("bias", bc),
+                          ("gamma", gc), ("beta", betac)):
+            results.append((f"conv1x1_batchnorm_{mode}/{name}",
+                            finite_diff_check(conv_bn_loss, wrt), OP_TOLERANCE))
 
     vals = rng.normal(size=(4, 4, 2))
     vals[np.abs(vals) < 0.2] = 0.7  # keep the probe away from the kink

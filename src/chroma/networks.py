@@ -3,11 +3,13 @@
 The color-naming branch (CnNet) is a shallow fully convolutional
 network: a 1x1 conv trunk, 3x3/2 max pool, 3x3/2 transposed conv back to
 input size, a 1x1 skip branch on the raw input, a 1x1 classifier over
-the trunk and skip maps together, and a per-pixel softmax. The
-classifier's kernel has one row per channel of the two maps stacked
-(trunk first), as a conv over their channel concatenation would; it is
-applied as two products summed (:func:`~chroma.tensor.conv1x1_concat`),
-so the concatenated map is never built. At 227x227 the pool/upsample
+the trunk and skip maps together, and a per-pixel softmax. The trunk
+and skip convs, each with its batchnorm and ReLU, are one node in every
+mode (:func:`~chroma.tensor.conv1x1_batchnorm`). The classifier's
+kernel has one row per channel of the two maps stacked (trunk first),
+as a conv over their channel concatenation would; it is applied as two
+products summed (:func:`~chroma.tensor.conv1x1_concat`), so the
+concatenated map is never built. At 227x227 the pool/upsample
 arithmetic is exact (227 -> 113 -> 227); for other sizes the ceil-mode
 pool covers the edge and the upsampled map is cropped back to the input
 size, so any input of at least 3x3 works.
@@ -66,6 +68,7 @@ from chroma.tensor import (
     _pool_max,
     batchnorm,
     channel_softmax,
+    conv1x1_batchnorm,
     conv1x1_concat,
     conv2d,
     crop_spatial,
@@ -267,24 +270,19 @@ class CnNet(_ParamStore):
                              f"any H, W >= 3")
         mode = "online" if train else "eval"
         p = self._params
+        t = conv1x1_batchnorm(x, p["trunk.conv.w"], p["trunk.conv.b"],
+                              *self.trunk_bn, mode=mode)
         if mode == "eval" and not grad_enabled():
-            t = _conv_relu(x.data, self._folded("trunk"))
-            t = _deconv_relu(_pool_max(t, 3, 2), self._folded("up"), h, w)
-            s = _conv_relu(x.data, self._folded("skip"))
-            return channel_softmax(conv1x1_concat(t, s, p["head.conv.w"],
-                                                  p["head.conv.b"]))
+            t = _deconv_relu(_pool_max(t.data, 3, 2), self._folded("up"), h, w)
+        else:
+            t = maxpool2d(t, 3, 2)
+            t = deconv2d(t, p["up.deconv.w"], stride=2)
+            t = batchnorm(t, *self.up_bn, mode=mode)
+            if t.shape[:2] != (h, w):
+                t = crop_spatial(t, h, w)
 
-        t = conv2d(x, p["trunk.conv.w"], p["trunk.conv.b"])
-        t = batchnorm(t, *self.trunk_bn, mode=mode)
-        t = maxpool2d(t, 3, 2)
-        t = deconv2d(t, p["up.deconv.w"], stride=2)
-        t = batchnorm(t, *self.up_bn, mode=mode)
-        if t.shape[:2] != (h, w):
-            t = crop_spatial(t, h, w)
-
-        s = conv2d(x, p["skip.conv.w"], p["skip.conv.b"])
-        s = batchnorm(s, *self.skip_bn, mode=mode)
-
+        s = conv1x1_batchnorm(x, p["skip.conv.w"], p["skip.conv.b"],
+                              *self.skip_bn, mode=mode)
         logits = conv1x1_concat(t, s, p["head.conv.w"], p["head.conv.b"])
         return channel_softmax(logits)
 

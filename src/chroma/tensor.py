@@ -18,8 +18,12 @@ floats, which never upcast 32-bit arrays.
 
 All layer primitives treat the last axis as the channel axis and carry
 no batch dimension; mini-batching is done by accumulating gradients over
-per-image graphs (see ``Tensor.backward``'s ``seed`` argument). Each
-conv layer's ``relu(bn(x))`` tail is one node, :func:`batchnorm`.
+per-image graphs (see ``Tensor.backward``'s ``seed`` argument), except
+that a fully connected layer's weight gradient is formed once per batch,
+as one product over the rows its per-image backward passes recorded
+(see ``Tensor.grad``). Each conv layer's ``relu(bn(x))`` tail is one
+node, :func:`batchnorm`; a 1x1 conv with that tail is one node too,
+:func:`conv1x1_batchnorm`.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "maxpool2d",
     "global_avgpool",
     "batchnorm",
+    "conv1x1_batchnorm",
     "RunningStats",
     "relu",
     "channel_softmax",
@@ -58,7 +63,6 @@ __all__ = [
 
 BN_EPSILON = 1e-5
 BN_STAT_DECAY = 0.9
-_FC_ROW_BLOCK = 256  # rows of a fully connected weight gradient per outer product
 LOG_CLAMP = 1e-12
 
 _DEFAULT_DTYPE = np.float64
@@ -101,8 +105,8 @@ class Tensor:
     place only between graph constructions.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward_fn",
-                 "_backward_run")
+    __slots__ = ("data", "_grad", "_pending", "requires_grad", "op", "_parents",
+                 "_backward_fn", "_backward_run")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, op: str = "leaf",
                  parents: tuple = ()):
@@ -118,7 +122,31 @@ class Tensor:
         self._parents = parents
         self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._backward_run = False
-        self.grad: np.ndarray | None = None  # until a backward pass reaches it
+        self._grad: np.ndarray | None = None  # until a backward pass reaches it
+        self._pending: list | None = None  # (x, g) rows of deferred outer products
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The accumulated gradient, None until a backward pass reaches it.
+
+        A fully connected layer's backward pass does not form its weight
+        gradient: it records the rows ``(x, g)`` of the outer product
+        ``np.outer(x, g)`` (:func:`_accum_outer`). The first read folds
+        every recorded row in at once, as ``X.T @ G`` over the stacked
+        rows, so a batch of per-image graphs writes an [N,M] weight
+        gradient once. Assigning ``grad`` (``None`` before a batch)
+        drops any recorded rows.
+        """
+        if self._pending:
+            xs, gs = zip(*self._pending)
+            self._pending = None
+            _accum(self, np.stack(xs).T @ np.stack(gs))
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+        self._pending = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -206,9 +234,17 @@ def _accum(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
     gradient) is always copied.
     """
     if t.grad is None:
-        t.grad = g if (g.flags.c_contiguous and not shared) else g.copy()
+        t._grad = g if (g.flags.c_contiguous and not shared) else g.copy()
     else:
-        t.grad += g
+        t._grad += g
+
+
+def _accum_outer(t: Tensor, x: np.ndarray, g: np.ndarray) -> None:
+    """Add ``np.outer(x, g)`` into ``t.grad`` when it is next read: the
+    rows are recorded, not multiplied (see ``Tensor.grad``)."""
+    if t._pending is None:
+        t._pending = []
+    t._pending.append((x, g))
 
 
 def _as_tensor(x) -> Tensor:
@@ -274,7 +310,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
             if kernel.requires_grad:
                 _accum(kernel, (cols.T @ g2).reshape(kernel.shape))
             if bias.requires_grad:
-                _accum(bias, g2.sum(axis=0))
+                _accum(bias, _channel_sum(g2))
             if x.requires_grad:
                 _accum(x, _conv_input_grad(g, kernel.data, stride, padding, h, w))
         result._backward_fn = _backward
@@ -531,8 +567,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
         sq *= sq
         cur_var = _channel_sum(sq)
         cur_var /= len(x2d)
-        stats.mean[...] = BN_STAT_DECAY * stats.mean + (1.0 - BN_STAT_DECAY) * cur_mu
-        stats.var[...] = BN_STAT_DECAY * stats.var + (1.0 - BN_STAT_DECAY) * cur_var
+        _fold_stats(stats, cur_mu, cur_var)
     result = _make_node(out, "batchnorm", (x, gamma, beta))
 
     if result.requires_grad:
@@ -549,6 +584,99 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
                 _accum(x, gm)
         result._backward_fn = _backward
     return result
+
+
+def conv1x1_batchnorm(x: Tensor, kernel: Tensor, bias: Tensor, gamma: Tensor,
+                      beta: Tensor, stats: RunningStats, mode: str) -> Tensor:
+    """A 1x1 convolution with the rectified :func:`batchnorm` tail as one
+    node: ``batchnorm(conv2d(x, kernel, bias), gamma, beta, stats, mode)``
+    for a [1,1,Cin,Cout] kernel, without building the conv's output.
+
+    The normalization by ``stats`` is folded into the kernel and bias
+    (Jacob et al., CVPR 2018) with the no-grad pass's arithmetic: ``x @
+    (w * scale)`` into a fresh buffer, ``+= b * scale + shift``, then
+    rectified in place. ``online`` mode then folds the statistics of the
+    conv's output into ``stats``, taken in float64 from the moments of
+    the input: the mean is ``x̄ @ w + b`` and the biased variance ``wᵀ Σ
+    w`` for the centred [Cin,Cin] covariance Σ of the input's pixels,
+    clipped at 0. For an image (Cin = 3) that is one pass over the
+    input instead of two over the [H,W,Cout] map.
+
+    The backward pass masks the output gradient once, ``gm = g * (out >
+    0)``, and takes every gradient from one product ``G = xᵀ @ gm``
+    [Cin,Cout] and the channel sums ``s`` of ``gm``: the kernel's ``G *
+    scale``, the bias's ``s * scale``, beta's ``s``, gamma's ``inv_std *
+    (Σ_i w_ic (G_ic - x̄_i s_c) + (ȳ_c - μ_c) s_c)`` in float64 (``ȳ =
+    x̄ @ w + b``, ``μ`` the running mean), and the input's ``(gm * scale)
+    @ wᵀ``, formed only when ``x`` requires a gradient. As in
+    :func:`batchnorm`, the gradients use the statistics from before an
+    ``online`` update.
+    """
+    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
+    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
+    if x.data.ndim != 3:
+        raise ShapeError(f"conv1x1_batchnorm: input must be [H,W,C], got {x.shape}")
+    h, w, cin = x.shape
+    if kernel.data.ndim != 4 or kernel.shape[:3] != (1, 1, cin):
+        raise ShapeError(f"conv1x1_batchnorm: kernel must be [1,1,{cin},Cout], "
+                         f"got {kernel.shape}")
+    cout = kernel.shape[3]
+    if bias.shape != (cout,) or gamma.shape != (cout,) or beta.shape != (cout,):
+        raise ShapeError(f"conv1x1_batchnorm: bias/gamma/beta must be ({cout},), "
+                         f"got {bias.shape}/{gamma.shape}/{beta.shape}")
+    if mode not in ("eval", "online"):
+        raise ValueError(f"conv1x1_batchnorm: mode must be 'eval' or 'online', "
+                         f"got {mode!r}")
+
+    x2d = x.data.reshape(h * w, cin)
+    kmat = kernel.data.reshape(cin, cout)
+    # the running statistics, before this pass updates them in place
+    mu, var = stats.mean.astype(np.float64), stats.var.astype(np.float64)
+    _, scale, shift = _bn_affine(gamma.data, beta.data,
+                                 stats.mean.astype(x.dtype, copy=False),
+                                 stats.var.astype(x.dtype, copy=False))
+    out2d = x2d @ (kmat * scale)
+    out2d += bias.data * scale + shift
+    np.maximum(out2d, 0.0, out=out2d)
+    if mode == "online":
+        xbar = x2d.mean(axis=0, dtype=np.float64)
+        k64 = kmat.astype(np.float64)
+        centred = x2d - xbar
+        cov = centred.T @ centred / len(x2d)
+        _fold_stats(stats, xbar @ k64 + bias.data,
+                    np.maximum((cov @ k64 * k64).sum(axis=0), 0.0))
+    result = _make_node(out2d.reshape(h, w, cout), "conv1x1_batchnorm",
+                        (x, kernel, bias, gamma, beta))
+
+    if result.requires_grad:
+        def _backward(g: np.ndarray) -> None:
+            gm = g.reshape(h * w, cout) * (out2d > 0.0)
+            big_g = x2d.T @ gm
+            s = _channel_sum(gm)
+            if kernel.requires_grad:
+                _accum(kernel, (big_g * scale).reshape(kernel.shape))
+            if bias.requires_grad:
+                _accum(bias, s * scale)
+            if gamma.requires_grad:
+                xbar = x2d.mean(axis=0, dtype=np.float64)
+                k64, s64 = kmat.astype(np.float64), s.astype(np.float64)
+                dgamma = (k64 * (big_g - np.outer(xbar, s64))).sum(axis=0)
+                dgamma += (xbar @ k64 + bias.data - mu) * s64
+                dgamma /= np.sqrt(var + BN_EPSILON)
+                _accum(gamma, dgamma.astype(x.dtype))
+            if beta.requires_grad:
+                _accum(beta, s)
+            if x.requires_grad:
+                gm *= scale
+                _accum(x, (gm @ kmat.T).reshape(h, w, cin))
+        result._backward_fn = _backward
+    return result
+
+
+def _fold_stats(stats: RunningStats, cur_mu: np.ndarray, cur_var: np.ndarray) -> None:
+    """Fold one pass's statistics into the running ones, decay 0.9."""
+    stats.mean[...] = BN_STAT_DECAY * stats.mean + (1.0 - BN_STAT_DECAY) * cur_mu
+    stats.var[...] = BN_STAT_DECAY * stats.var + (1.0 - BN_STAT_DECAY) * cur_var
 
 
 def _channel_sum(a2d: np.ndarray) -> np.ndarray:
@@ -702,7 +830,7 @@ def conv1x1_concat(a: Tensor, b: Tensor, kernel: Tensor, bias: Tensor) -> Tensor
                 dk = np.concatenate([a2d.T @ g2, b2d.T @ g2])
                 _accum(kernel, dk.reshape(kernel.shape))
             if bias.requires_grad:
-                _accum(bias, g2.sum(axis=0))
+                _accum(bias, _channel_sum(g2))
             if a.requires_grad:
                 _accum(a, (g2 @ ka.T).reshape(h, w, ca))
             if b.requires_grad:
@@ -777,10 +905,12 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Affine map [N] @ [N,M] + [M].
 
     The weight gradient is the outer product of ``x`` and the output
-    gradient. The first one ``weights`` receives becomes its ``grad``;
-    later ones are added into it in place, one block of rows at a time,
-    so that no [N,M] temporary is built: the same products and adds as
-    ``grad += np.outer(x, g)``, byte for byte.
+    gradient. The backward pass only records the pair on ``weights``;
+    the first read of ``weights.grad`` adds the recorded outer products
+    in as one ``X.T @ G`` (see ``Tensor.grad``). Within a batch of
+    per-image graphs the sum is therefore taken in the order of one
+    GEMM rather than image by image, which moves float32 results in the
+    last bits (float64 within 1e-12 of summed ``np.outer`` products).
     """
     x, weights, bias = _as_tensor(x), _as_tensor(weights), _as_tensor(bias)
     if x.data.ndim != 1 or weights.data.ndim != 2:
@@ -798,12 +928,7 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
             if x.requires_grad:
                 _accum(x, weights.data @ g)
             if weights.requires_grad:
-                if weights.grad is None:
-                    _accum(weights, np.outer(x.data, g))
-                else:  # grad += np.outer(x, g), a block of rows at a time
-                    for i in range(0, n, _FC_ROW_BLOCK):
-                        rows = slice(i, i + _FC_ROW_BLOCK)
-                        weights.grad[rows] += np.outer(x.data[rows], g)
+                _accum_outer(weights, x.data, g)
             if bias.requires_grad:
                 _accum(bias, g, shared=True)
         result._backward_fn = _backward

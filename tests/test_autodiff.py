@@ -371,20 +371,65 @@ class TestConvInputGradient:
 
 
 class TestFullyConnectedWeightGradient:
-    def test_blocked_update_is_byte_identical_to_outer_products(self):
-        # more rows than one block, and not a multiple of it
-        rng = np.random.default_rng(41)
-        n, m = 600, 40
-        w = Tensor(rng.normal(size=(n, m)).astype(np.float32), requires_grad=True)
-        b = Tensor(np.zeros(m, np.float32))
-        want = None
-        for _ in range(6):
-            x = rng.normal(size=n).astype(np.float32)
-            g = rng.normal(size=m).astype(np.float32)
+    """The weight gradient is deferred: each backward pass records its
+    rows, and the first read of ``grad`` folds them in as one product.
+    Finite differences on the weights: ``test_fully_connected_gradients``."""
+
+    @staticmethod
+    def _batch(rng, w, images=6):
+        n, m = w.shape
+        b = Tensor(np.zeros(m))
+        want = np.zeros((n, m))
+        for _ in range(images):
+            x = rng.normal(size=n)
+            g = rng.normal(size=m)
             fully_connected(Tensor(x), w, b)._backward_fn(g)
-            if want is None:
-                want = np.outer(x, g)
-            else:
-                want += np.outer(x, g)
-        assert w.grad.dtype == np.float32
-        assert w.grad.tobytes() == want.tobytes()
+            want += np.outer(x, g)
+        return want
+
+    def test_float64_gradient_within_1e12_of_summed_outer_products(self):
+        rng = np.random.default_rng(41)
+        w = Tensor(rng.normal(size=(600, 40)), requires_grad=True)
+        want = self._batch(rng, w)
+        assert np.abs(w.grad - want).max() < 1e-12
+
+    def test_reading_grad_twice_returns_the_same_array(self):
+        rng = np.random.default_rng(43)
+        w = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        want = self._batch(rng, w)
+        first = w.grad
+        assert w.grad is first
+        assert np.abs(first - want).max() < 1e-12
+
+    def test_rows_recorded_after_a_read_are_added_to_it(self):
+        rng = np.random.default_rng(44)
+        w = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        want = self._batch(rng, w, images=2)
+        assert np.abs(w.grad - want).max() < 1e-12
+        want += self._batch(rng, w, images=3)
+        assert np.abs(w.grad - want).max() < 1e-12
+
+    def test_assigning_grad_discards_pending_rows(self):
+        rng = np.random.default_rng(45)
+        w = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        self._batch(rng, w)
+        w.grad = None
+        assert w.grad is None
+        want = self._batch(rng, w, images=1)
+        assert np.abs(w.grad - want).max() < 1e-12
+
+    def test_non_finite_pending_row_raises_in_sgd_step_before_any_change(self):
+        rng = np.random.default_rng(47)
+        first = Tensor(rng.normal(size=3), requires_grad=True)
+        first.grad = np.ones(3)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        x = rng.normal(size=4)
+        x[2] = np.inf
+        fully_connected(Tensor(x), w, Tensor(np.zeros(3)))._backward_fn(np.ones(3))
+        before = (first.data.copy(), w.data.copy())
+        state = OptimizerState(learning_rate=0.1, momentum=0.9)
+        with pytest.raises(FloatingPointError, match="'w'"):
+            sgd_step({"first": first, "w": w}, state)
+        assert np.array_equal(first.data, before[0])
+        assert np.array_equal(w.data, before[1])
+        assert state.velocities == {}

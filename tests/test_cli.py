@@ -747,7 +747,7 @@ class TestGradcheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["gradcheck"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "all 26 gradient checks passed" in out
+        assert "all 36 gradient checks passed" in out
 
     def test_corrupted_modulation_backward_is_caught(self, capsys, monkeypatch):
         # negative control: a modulate whose backward rule is wrong

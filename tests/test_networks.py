@@ -9,6 +9,8 @@ from chroma.networks import CnNet, VaNet, full_forward, masked_nll_loss
 from chroma.tensor import (
     ShapeError,
     Tensor,
+    conv1x1_batchnorm,
+    conv2d,
     cross_entropy,
     finite_diff_check,
     no_grad,
@@ -48,6 +50,21 @@ class TestCnForward:
         net = CnNet(num_classes=3, width=6, seed=3)
         y = net.forward(_image(rng, 16, 16))
         assert y.shape == (16, 16, 3)
+
+    @pytest.mark.parametrize("layer", ["trunk", "skip"])
+    def test_no_grad_eval_layer_is_byte_identical_to_the_folded_conv(self, layer):
+        rng = np.random.default_rng(5)
+        net = CnNet(num_classes=4, width=6, dtype=np.float32, seed=2)
+        for arr in net.state().values():
+            arr[...] += rng.uniform(0.1, 0.5, size=arr.shape)
+        x = _image(rng, 9, 10).astype(np.float32)
+        p = net.parameters()
+        gamma, beta, stats = getattr(net, f"{layer}_bn")
+        with no_grad():
+            out = conv1x1_batchnorm(x, p[f"{layer}.conv.w"], p[f"{layer}.conv.b"],
+                                    gamma, beta, stats, mode="eval")
+            folded = conv2d(x, *net._folded(layer))
+        assert out.data.tobytes() == np.maximum(folded.data, 0.0).tobytes()
 
     def test_too_small_input_lists_valid_sizes(self):
         net = CnNet(num_classes=3, width=6, seed=4)

@@ -12,6 +12,7 @@ from chroma.tensor import (
     maxpool2d,
     global_avgpool,
     batchnorm,
+    conv1x1_batchnorm,
     RunningStats,
     relu,
     channel_softmax,
@@ -402,6 +403,116 @@ class TestRectifiedBatchnorm:
         want = _batchnorm_run(x, gamma, beta, RunningStats(mean, var), "eval", g)
         for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, want):
             assert a.tobytes() == b.tobytes(), name
+
+
+def _conv_bn_case(dtype, seed=51, shape=(9, 7, 3), cout=5):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=shape).astype(dtype)
+    k = rng.normal(size=(1, 1, shape[-1], cout)).astype(dtype)
+    bias = rng.normal(size=cout).astype(dtype)
+    gamma = (rng.normal(size=cout) + 1.0).astype(dtype)
+    beta = rng.normal(size=cout).astype(dtype)
+    mean = rng.normal(size=cout).astype(dtype)
+    var = (rng.random(cout) + 0.5).astype(dtype)
+    g = rng.normal(size=shape[:2] + (cout,)).astype(dtype)
+    return x, k, bias, gamma, beta, mean, var, g
+
+
+def _conv_bn_run(case, mode):
+    """The node's output, running statistics after the pass, and the
+    gradients of x, kernel, bias, gamma and beta for the case's g."""
+    x, k, bias, gamma, beta, mean, var, g = case
+    stats = RunningStats(mean.copy(), var.copy())
+    ts = [Tensor(v, requires_grad=True) for v in (x, k, bias, gamma, beta)]
+    out = conv1x1_batchnorm(*ts, stats, mode=mode)
+    out._backward_fn(g)
+    return out.data, stats, [t.grad for t in ts]
+
+
+class TestConv1x1Batchnorm:
+    """relu(bn(conv1x1(x))) as one node, against the loop oracles."""
+
+    @pytest.mark.parametrize("mode", ["online", "eval"])
+    def test_matches_loop_oracles_within_1e10(self, mode):
+        case = _conv_bn_case(np.float64)
+        x, k, bias, gamma, beta, mean, var, g = case
+        out, stats, grads = _conv_bn_run(case, mode)
+
+        y = conv2d_loops(x, k, bias)
+        want = relu_loops(batchnorm_loops(y, gamma, beta, mean, var))
+        assert 0.2 < (want > 0).mean() < 0.8  # both sides of the kink
+        gm = g * (want > 0.0)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        dy = gm * gamma * inv_std
+        want_grads = [dy @ k[0, 0].T,
+                      np.einsum("hwi,hwc->ic", x, dy)[None, None],
+                      dy.sum(axis=(0, 1)),
+                      ((y - mean) * gm).sum(axis=(0, 1)) * inv_std,
+                      gm.sum(axis=(0, 1))]
+        assert np.abs(out - want).max() < 1e-10
+        for name, a, b in zip(("dx", "dkernel", "dbias", "dgamma", "dbeta"),
+                              grads, want_grads):
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() < 1e-10, name
+        want_stats = (running_stats_loops(y, mean, var) if mode == "online"
+                      else (mean, var))
+        for a, b in zip((stats.mean, stats.var), want_stats):
+            assert np.abs(a - b).max() < 1e-10
+
+    def test_float32_running_statistics_within_relative_1e5(self):
+        # a color-branch-sized image: 4096 pixels, the variance from the
+        # input's moments rather than a sum over the conv's output
+        case = _conv_bn_case(np.float32, seed=52, shape=(64, 64, 3), cout=8)
+        x, k, bias, gamma, beta, mean, var, _ = case
+        stats = RunningStats(mean.copy(), var.copy())
+        conv1x1_batchnorm(Tensor(x), Tensor(k), Tensor(bias), Tensor(gamma),
+                          Tensor(beta), stats, mode="online")
+        f64 = lambda a: a.astype(np.float64)
+        y = f64(x).reshape(-1, 3) @ f64(k[0, 0]) + f64(bias)
+        want = running_stats_loops(y.reshape(64, 64, 8), f64(mean), f64(var))
+        for a, b in zip((stats.mean, stats.var), want):
+            assert a.dtype == np.float32
+            assert np.abs(a - b).max() / np.abs(b).max() < 1e-5
+
+    @pytest.mark.parametrize("mode", ["online", "eval"])
+    def test_zero_gamma_gives_rectified_beta(self, mode):
+        x, k, bias, _, _, mean, var, _ = _conv_bn_case(np.float64, seed=53,
+                                                       cout=2)
+        out = conv1x1_batchnorm(Tensor(x), Tensor(k), Tensor(bias),
+                                Tensor(np.zeros(2)), Tensor(np.array([1.5, -2.0])),
+                                RunningStats(mean, var), mode=mode)
+        assert np.array_equal(out.data, np.broadcast_to([1.5, 0.0], (9, 7, 2)))
+
+    def test_grayscale_image_gives_non_negative_running_variance(self):
+        # equal channels make the covariance singular: a kernel column
+        # summing to zero has an output of zero variance, which wᵀΣw
+        # can round to a tiny negative value (here in float64)
+        rng = np.random.default_rng(54)
+        gray = np.repeat(rng.uniform(size=(64, 64, 1)), 3, axis=2)
+        cols = np.random.default_rng(0).normal(size=(2, 8))
+        k = np.vstack([cols, -cols.sum(axis=0)])[None, None]
+        for dtype in (np.float32, np.float64):
+            zero = np.zeros(8, dtype)
+            stats = RunningStats(zero.copy(), zero.copy())
+            conv1x1_batchnorm(Tensor(gray.astype(dtype)), Tensor(k.astype(dtype)),
+                              Tensor(zero), Tensor(np.ones(8, dtype)), Tensor(zero),
+                              stats, mode="online")
+            assert (stats.var >= 0.0).all()
+            assert stats.var.max() < 1e-12
+
+    def test_shape_and_mode_errors(self):
+        x = Tensor(np.zeros((2, 2, 3)))
+        one = Tensor(np.ones(2))
+        stats = RunningStats(np.zeros(2), np.ones(2))
+        with pytest.raises(ShapeError, match="kernel"):
+            conv1x1_batchnorm(x, Tensor(np.zeros((1, 1, 2, 2))), one, one, one,
+                              stats, mode="eval")
+        with pytest.raises(ShapeError, match="gamma"):
+            conv1x1_batchnorm(x, Tensor(np.zeros((1, 1, 3, 2))), one,
+                              Tensor(np.ones(3)), one, stats, mode="eval")
+        with pytest.raises(ValueError, match="mode"):
+            conv1x1_batchnorm(x, Tensor(np.zeros((1, 1, 3, 2))), one, one, one,
+                              stats, mode="train")
 
 
 class TestActivations:
