@@ -36,7 +36,7 @@ from chroma.gradcheck import run_suite
 from chroma.modulation import modulate as modulate_op  # noqa: F401
 from chroma.netpbm import read_ppm, write_ppm
 from chroma.networks import full_forward
-from chroma.tensor import no_grad
+from chroma.tensor import ShapeError, no_grad
 from chroma.training import (
     DivergenceError,
     build_networks,
@@ -271,6 +271,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ShapeError:
+        raise  # a fault in the program, not bad input: never exit 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

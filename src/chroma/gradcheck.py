@@ -33,6 +33,7 @@ from chroma.tensor import (
     global_avgpool,
     maxpool2d,
     relu,
+    reshape,
     tensor_sum,
     vector_softmax,
 )
@@ -171,12 +172,16 @@ def _op_checks() -> list[tuple[str, float, float]]:
     wf = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     bf = Tensor(rng.normal(size=3), requires_grad=True)
 
-    def fc_loss():
-        return cross_entropy(vector_softmax(fully_connected(xf, wf, bf)), 0)
+    def fc_loss(x=xf):
+        out = reshape(fully_connected(x, wf, bf), (-1,))
+        return cross_entropy(vector_softmax(out), 0)
 
     for name, wrt in (("fully_connected/input", xf), ("fully_connected/weights", wf),
                       ("fully_connected/bias", bf)):
         results.append((name, finite_diff_check(fc_loss, wrt), OP_TOLERANCE))
+    xrows = Tensor(np.random.default_rng(1236).normal(size=(2, 5)))  # own draws
+    results.append(("fully_connected_rows/weights",
+                    finite_diff_check(lambda: fc_loss(xrows), wf), OP_TOLERANCE))
 
     ym = Tensor(rng.uniform(0.1, 1.0, size=(4, 4, 3)), requires_grad=True)
     am = Tensor(rng.uniform(0.1, 1.0, size=(4, 4)), requires_grad=True)

@@ -3,13 +3,11 @@
 The color-naming branch (CnNet) is a shallow fully convolutional
 network: a 1x1 conv trunk, 3x3/2 max pool, 3x3/2 transposed conv back to
 input size, a 1x1 skip branch on the raw input, a 1x1 classifier over
-the trunk and skip maps together, and a per-pixel softmax. The trunk
-and skip convs, each with its batchnorm and ReLU, are one node in every
-mode (:func:`~chroma.tensor.conv1x1_batchnorm`). The classifier's
-kernel has one row per channel of the two maps stacked (trunk first),
-as a conv over their channel concatenation would; it is applied as two
-products summed (:func:`~chroma.tensor.conv1x1_concat`), so the
-concatenated map is never built. At 227x227 the pool/upsample
+the trunk and skip maps together, and a per-pixel softmax. The
+classifier's kernel has one row per channel of the two maps stacked
+(trunk first), as a conv over their channel concatenation would; it is
+applied as two products summed (:func:`~chroma.tensor.conv1x1_concat`),
+so the concatenated map is never built. At 227x227 the pool/upsample
 arithmetic is exact (227 -> 113 -> 227); for other sizes the ceil-mode
 pool covers the edge and the upsampled map is cropped back to the input
 size, so any input of at least 3x3 works.
@@ -30,12 +28,12 @@ the bottleneck grid is 8x8 and the bottleneck widths are 512.
 [H,W] tensor) and an image score; without an attention branch it pools
 the unmodulated color map (:func:`image_score` is that last step).
 Both forwards take an [H,W,3] image with values in [0, 1], each with
-its own size rule. In eval mode under :class:`~chroma.tensor.no_grad`
-each is one no-grad pass: each batchnorm folded into the layer before
-it from the live parameters (Jacob et al., CVPR 2018), each ReLU in
-place, each deconv written as its parity planes into the cropped map;
-float32 outputs move in the last bits. The attention branch's pass also
-maps an [N,H,W,3] stack to [N,H,W], running fc1 and fc2 once over it.
+its own size rule, and have one body for every mode: each conv or deconv
+with its batchnorm and ReLU is one ``_ParamStore._layer`` call, which in
+eval mode under :class:`~chroma.tensor.no_grad` folds the batchnorm into
+the layer (float32 outputs move in the last bits). The attention branch
+runs fc1 and fc2 once over [N, F] rows, one per image; without a graph
+it also maps an [N,H,W,3] stack to [N,H,W].
 
 A network instance is single-writer during training; once loaded from a
 checkpoint, read-only inference may be shared freely.
@@ -65,7 +63,6 @@ from chroma.tensor import (
     _bn_affine,
     _deconv_planes,
     _make_node,
-    _pool_max,
     batchnorm,
     channel_softmax,
     conv1x1_batchnorm,
@@ -89,22 +86,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def _relu_(a: np.ndarray) -> np.ndarray:
-    return np.maximum(a, 0.0, out=a)  # in place: ``a`` is fresh
-
-
-def _conv_relu(x: np.ndarray, folded, padding: int = 0) -> np.ndarray:
-    """No-grad conv (-> batchnorm) -> ReLU by the ``folded`` kernel, bias."""
-    return _relu_(conv2d(x, *folded, padding=padding).data)
-
-
-def _deconv_relu(x: np.ndarray, folded, h: int, w: int) -> np.ndarray:
-    """No-grad stride-2 deconv -> batchnorm -> ReLU, cropped to [h, w]."""
-    out = _deconv_planes(x, folded[0], 2, h, w)
-    out += folded[1]
-    return _relu_(out)
 
 
 def _xavier(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
@@ -175,14 +156,13 @@ class _ParamStore:
         weights, which a loaded network must not keep alive."""
         self._rng = self._weights = None
 
-    def _bn(self, name: str, channels: int) -> tuple[Tensor, Tensor, RunningStats]:
-        gamma = self._param(f"{name}.gamma", (channels,), np.ones)
-        beta = self._param(f"{name}.beta", (channels,), np.zeros)
+    def _bn(self, name: str, channels: int) -> None:
+        self._param(f"{name}.gamma", (channels,), np.ones)
+        self._param(f"{name}.beta", (channels,), np.zeros)
         key = f"{self.prefix}.stat.{name}"
-        stats = RunningStats(self._array(f"{key}.mean", (channels,), np.zeros),
-                             self._array(f"{key}.var", (channels,), np.ones))
-        self._stats[name] = stats
-        return gamma, beta, stats
+        self._stats[name] = RunningStats(
+            self._array(f"{key}.mean", (channels,), np.zeros),
+            self._array(f"{key}.var", (channels,), np.ones))
 
     def state(self) -> dict[str, np.ndarray]:
         """Every parameter, then every batchnorm statistic, each in
@@ -199,17 +179,42 @@ class _ParamStore:
     def stats(self) -> dict[str, RunningStats]:
         return dict(self._stats)
 
-    def _folded(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel and bias of the conv or deconv ``<name>.conv|deconv``
-        with the eval-mode batchnorm ``<name>.bn`` folded in, from the live
-        parameters (a deconv has no bias of its own)."""
+    def _layer(self, name: str, x: Tensor, mode: str, size=None) -> Tensor:
+        """Layer ``name`` on ``x``: the conv ``<name>.conv`` (stride 1,
+        padding ``k // 2``) or the stride-2 deconv ``<name>.deconv``
+        cropped to ``size`` (h, w), then the rectified batchnorm
+        ``<name>.bn``. A 1x1 conv is one ``conv1x1_batchnorm`` node. In
+        eval mode without a graph any other layer folds the batchnorm
+        into its kernel and bias from the live parameters (Jacob et al.,
+        CVPR 2018), a deconv writing its parity planes into the cropped
+        map; otherwise it is the ``conv2d``/``deconv2d``, ``batchnorm``
+        and ``crop_spatial`` nodes in that order."""
         p, stats = self._params, self._stats[f"{name}.bn"]
-        gamma, beta = p[f"{name}.bn.gamma"].data, p[f"{name}.bn.beta"].data
-        _, scale, shift = _bn_affine(gamma, beta, stats.mean, stats.var)
-        if f"{name}.deconv.w" in p:  # [k,k,Cout,Cin]
-            return p[f"{name}.deconv.w"].data * scale[:, None], shift
-        return (p[f"{name}.conv.w"].data * scale,
-                p[f"{name}.conv.b"].data * scale + shift)
+        gamma, beta = p[f"{name}.bn.gamma"], p[f"{name}.bn.beta"]
+        kernel, bias = p.get(f"{name}.deconv.w"), None
+        if kernel is None:
+            kernel, bias = p[f"{name}.conv.w"], p[f"{name}.conv.b"]
+            if kernel.shape[0] == 1:
+                return conv1x1_batchnorm(x, kernel, bias, gamma, beta, stats,
+                                         mode=mode)
+        k = kernel.shape[0]
+        if mode == "eval" and not grad_enabled():
+            _, scale, shift = _bn_affine(gamma.data, beta.data, stats.mean,
+                                         stats.var)
+            if bias is None:  # [k,k,Cout,Cin]
+                h, w = size or ((x.shape[0] - 1) * 2 + k, (x.shape[1] - 1) * 2 + k)
+                out = _deconv_planes(x.data, kernel.data * scale[:, None], 2, h, w)
+                out += shift
+            else:
+                out = conv2d(x, kernel.data * scale, bias.data * scale + shift,
+                             padding=k // 2).data
+            return Tensor(np.maximum(out, 0.0, out=out))
+        t = (deconv2d(x, kernel, stride=2) if bias is None
+             else conv2d(x, kernel, bias, padding=k // 2))
+        t = batchnorm(t, gamma, beta, stats, mode=mode)
+        if size is not None and t.shape[:2] != size:
+            t = crop_spatial(t, *size)
+        return t
 
     def _wrap_image(self, image, stack: bool = False) -> Tensor:
         """The image (or, given ``stack``, an [N,H,W,3] stack) as a tensor,
@@ -245,21 +250,15 @@ class CnNet(_ParamStore):
         w = width
         self._param("trunk.conv.w", (1, 1, 3, w), xavier(3, w))
         self._param("trunk.conv.b", (w,), np.zeros)
-        self.trunk_bn = self._bn("trunk.bn", w)
+        self._bn("trunk.bn", w)
         self._param("up.deconv.w", (3, 3, w, w), xavier(9 * w, 9 * w))
-        self.up_bn = self._bn("up.bn", w)
+        self._bn("up.bn", w)
         self._param("skip.conv.w", (1, 1, 3, w), xavier(3, w))
         self._param("skip.conv.b", (w,), np.zeros)
-        self.skip_bn = self._bn("skip.bn", w)
+        self._bn("skip.bn", w)
         self._param("head.conv.w", (1, 1, 2 * w, num_classes), np.zeros)
         self._param("head.conv.b", (num_classes,), np.zeros)
         self._built()
-
-    @staticmethod
-    def geometry(h: int) -> tuple[int, int]:
-        """(pooled, upsampled) sizes for one spatial dimension."""
-        pooled = -(-(h - 3) // 2) + 1
-        return pooled, (pooled - 1) * 2 + 3
 
     def forward(self, image, train: bool = False) -> Tensor:
         """Per-pixel color-name distribution [H,W,C] of an image."""
@@ -270,19 +269,9 @@ class CnNet(_ParamStore):
                              f"any H, W >= 3")
         mode = "online" if train else "eval"
         p = self._params
-        t = conv1x1_batchnorm(x, p["trunk.conv.w"], p["trunk.conv.b"],
-                              *self.trunk_bn, mode=mode)
-        if mode == "eval" and not grad_enabled():
-            t = _deconv_relu(_pool_max(t.data, 3, 2), self._folded("up"), h, w)
-        else:
-            t = maxpool2d(t, 3, 2)
-            t = deconv2d(t, p["up.deconv.w"], stride=2)
-            t = batchnorm(t, *self.up_bn, mode=mode)
-            if t.shape[:2] != (h, w):
-                t = crop_spatial(t, h, w)
-
-        s = conv1x1_batchnorm(x, p["skip.conv.w"], p["skip.conv.b"],
-                              *self.skip_bn, mode=mode)
+        t = self._layer("trunk", x, mode)
+        t = self._layer("up", maxpool2d(t, 3, 2), mode, (h, w))
+        s = self._layer("skip", x, mode)
         logits = conv1x1_concat(t, s, p["head.conv.w"], p["head.conv.b"])
         return channel_softmax(logits)
 
@@ -331,12 +320,11 @@ class VaNet(_ParamStore):
 
         xavier = self._xavier_init
         prev = 3
-        self.enc_bns = []
         for i, ch in enumerate(self.channels):
             self._param(f"enc{i}.conv.w", (3, 3, prev, ch),
                         xavier(9 * prev, 9 * ch))
             self._param(f"enc{i}.conv.b", (ch,), np.zeros)
-            self.enc_bns.append(self._bn(f"enc{i}.bn", ch))
+            self._bn(f"enc{i}.bn", ch)
             prev = ch
         flat = grid * grid * prev
         bottleneck = grid * grid * bottleneck_channels
@@ -349,74 +337,47 @@ class VaNet(_ParamStore):
                         lambda shape: gaussian_kernel(grid, grid / 4.0,
                                                       self.dtype))
         prev = bottleneck_channels
-        self.dec_bns = []
         for i, ch in enumerate(self.dec_channels):
             self._param(f"dec{i}.deconv.w", (2, 2, ch, prev),
                         xavier(4 * prev, 4 * ch))
-            self.dec_bns.append(self._bn(f"dec{i}.bn", ch))
+            self._bn(f"dec{i}.bn", ch)
             prev = ch
         self._param("head.conv.w", (3, 3, prev, 1), xavier(9 * prev, 9))
         self._param("head.conv.b", (1,), np.zeros)
         self._built()
 
     def forward(self, image, train: bool = False) -> Tensor:
-        """Unit-RMS attention map [H,W] of an image (no-grad: or a stack)."""
+        """Unit-RMS attention map [H,W] of an image (no-grad eval: or the
+        maps [N,H,W] of a stack); fc1 and fc2 run once over all rows."""
         mode = "online" if train else "eval"
-        no_graph = mode == "eval" and not grad_enabled()
-        x = self._wrap_image(image, stack=no_graph)
-        r = self.resolution
+        x = self._wrap_image(image, stack=mode == "eval" and not grad_enabled())
+        r, g = self.resolution, self.grid
         if x.shape[-3:-1] != (r, r):
             raise ShapeError(f"VaNet was built for {r}x{r} inputs, got "
                              f"{x.shape[-3]}x{x.shape[-2]}")
-        if no_graph:
-            maps = self._no_grad_pass(x.data.reshape((-1, r, r, 3)))
-            return Tensor(maps if x.data.ndim == 4 else maps[0])
         p = self._params
-
-        h = x
-        for i in range(self.stages):
-            h = conv2d(h, p[f"enc{i}.conv.w"], p[f"enc{i}.conv.b"], padding=1)
-            h = batchnorm(h, *self.enc_bns[i], mode=mode)
-            h = maxpool2d(h, 2, 2)
-        g = self.grid
-        flat = reshape(h, (g * g * self.channels[-1],))
-        z = relu(fully_connected(flat, p["fc1.w"], p["fc1.b"]))
+        rows = []
+        for h in [x] if x.data.ndim == 3 else map(Tensor, x.data):
+            for i in range(self.stages):
+                h = maxpool2d(self._layer(f"enc{i}", h, mode), 2, 2)
+            rows.append(reshape(h, (1, h.size)))
+        # a graph has one row; only a stack, never a graph, is joined
+        one = len(rows) == 1
+        z = rows[0] if one else Tensor(np.concatenate([t.data for t in rows]))
+        z = relu(fully_connected(z, p["fc1.w"], p["fc1.b"]))
         z = relu(fully_connected(z, p["fc2.w"], p["fc2.b"]))
-        h = reshape(z, (g, g, self.bottleneck_channels))
-        if self.use_prior:
-            h = modulate(h, p["prior.kernel"])
-        for i in range(self.stages):
-            h = deconv2d(h, p[f"dec{i}.deconv.w"], stride=2)
-            h = batchnorm(h, *self.dec_bns[i], mode=mode)
-        if h.shape[:2] != (self.resolution, self.resolution):
-            h = crop_spatial(h, self.resolution, self.resolution)
-        a = relu(conv2d(h, p["head.conv.w"], p["head.conv.b"], padding=1))
-        return rms_normalize(reshape(a, (self.resolution, self.resolution)))
-
-    def _no_grad_pass(self, images: np.ndarray) -> np.ndarray:
-        """Maps [N,H,W] of a stack [N,H,W,3]; only fc1 and fc2 see it whole."""
-        p = {k: t.data for k, t in self._params.items()}
-        enc = [self._folded(f"enc{i}") for i in range(self.stages)]
-        dec = [self._folded(f"dec{i}") for i in range(self.stages)]
-        r, g = self.resolution, self.grid
-        flat = np.empty((len(images), g * g * self.channels[-1]), self.dtype)
-        for row, h in zip(flat, images):
-            for folded in enc:
-                h = _pool_max(_conv_relu(h, folded, padding=1), 2, 2)
-            row[:] = h.reshape(-1)
-        z = _relu_(flat @ p["fc1.w"] + p["fc1.b"])
-        z = _relu_(z @ p["fc2.w"] + p["fc2.b"])
-        maps = np.empty((len(images), r, r), self.dtype)
-        for out, row in zip(maps, z):
-            h = row.reshape(g, g, self.bottleneck_channels)
+        maps = []
+        for h in [z] if one else map(Tensor, z.data):
+            h = reshape(h, (g, g, self.bottleneck_channels))
             if self.use_prior:
-                h = h * p["prior.kernel"][:, :, None]
-            for i, folded in enumerate(dec):
-                size = 2 * h.shape[0] if i < self.stages - 1 else r
-                h = _deconv_relu(h, folded, size, size)
-            a = _conv_relu(h, (p["head.conv.w"], p["head.conv.b"]), padding=1)
-            out[...] = rms_normalize(Tensor(a.reshape(r, r))).data
-        return maps
+                h = modulate(h, p["prior.kernel"])
+            for i in range(self.stages):
+                h = self._layer(f"dec{i}", h, mode,
+                                (r, r) if i == self.stages - 1 else None)
+            a = relu(conv2d(h, p["head.conv.w"], p["head.conv.b"], padding=1))
+            maps.append(rms_normalize(reshape(a, (r, r))))
+        return maps[0] if x.data.ndim == 3 else Tensor(
+            np.stack([m.data for m in maps]))
 
 
 def full_forward(cn: CnNet, va: VaNet | None, image, train: bool = False

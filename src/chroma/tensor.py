@@ -130,17 +130,17 @@ class Tensor:
         """The accumulated gradient, None until a backward pass reaches it.
 
         A fully connected layer's backward pass does not form its weight
-        gradient: it records the rows ``(x, g)`` of the outer product
-        ``np.outer(x, g)`` (:func:`_accum_outer`). The first read folds
-        every recorded row in at once, as ``X.T @ G`` over the stacked
-        rows, so a batch of per-image graphs writes an [N,M] weight
-        gradient once. Assigning ``grad`` (``None`` before a batch)
-        drops any recorded rows.
+        gradient: it records the rows ``(x, g)`` of the product ``x.T @
+        g`` (:func:`_accum_outer`). The first read folds every recorded
+        row in at once, as ``X.T @ G`` over the stacked rows, so a batch
+        of per-image graphs writes an [N,M] weight gradient once.
+        Assigning ``grad`` (``None`` before a batch) drops any recorded
+        rows.
         """
         if self._pending:
             xs, gs = zip(*self._pending)
             self._pending = None
-            _accum(self, np.stack(xs).T @ np.stack(gs))
+            _accum(self, np.concatenate(xs).T @ np.concatenate(gs))
         return self._grad
 
     @grad.setter
@@ -240,8 +240,8 @@ def _accum(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
 
 
 def _accum_outer(t: Tensor, x: np.ndarray, g: np.ndarray) -> None:
-    """Add ``np.outer(x, g)`` into ``t.grad`` when it is next read: the
-    rows are recorded, not multiplied (see ``Tensor.grad``)."""
+    """Add ``x.T @ g`` (rows [R,N] and [R,M]) into ``t.grad`` when it is
+    next read: the rows are recorded, not multiplied (see ``Tensor.grad``)."""
     if t._pending is None:
         t._pending = []
     t._pending.append((x, g))
@@ -420,8 +420,8 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     an output row/column; a window that would start in the padding
     (possible when stride > k) is dropped.
 
-    The forward pass (:func:`_pool_max`) keeps a running ``np.maximum``
-    over the k*k strided offset views, in row-major offset order. On a
+    The forward pass keeps a running ``np.maximum`` over the k*k
+    strided offset views, in row-major offset order, unpadded. On a
     tie ``np.maximum`` returns its second operand, the running maximum,
     so the earlier offset wins: between +0 and -0 the output keeps the
     sign of the first in row-major order, as a windowed ``argmax`` would.
@@ -436,12 +436,14 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     h, w, c = x.shape
     if k > h or k > w:
         raise ShapeError(f"maxpool2d: window {k} larger than padded input {h}x{w}")
-    out = _pool_max(x.data, k, stride)
+    offsets = _pool_offsets(h, w, k, stride)
+    out = x.data[offsets[0][0]].copy()
+    for src, dst in offsets[1:]:
+        np.maximum(x.data[src], out[dst], out=out[dst])
     result = _make_node(out, "maxpool2d", (x,))
 
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
-            offsets = _pool_offsets(h, w, k, stride)
             taken = np.zeros(out.shape, dtype=bool)
             masks = []
             for src, dst in offsets:
@@ -476,16 +478,6 @@ def _pool_offsets(h: int, w: int, k: int, stride: int) -> list:
 
     return [tuple(zip(reach(h, dy), reach(w, dx)))
             for dy in range(k) for dx in range(k)]
-
-
-def _pool_max(arr: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """The forward pass of :func:`maxpool2d` on a plain [H,W,C] array,
-    without padding: a running ``np.maximum`` over the offsets."""
-    (src, _), *offsets = _pool_offsets(arr.shape[0], arr.shape[1], k, stride)
-    out = arr[src].copy()
-    for src, dst in offsets:
-        np.maximum(arr[src], out[dst], out=out[dst])
-    return out
 
 
 def global_avgpool(x: Tensor) -> Tensor:
@@ -593,8 +585,8 @@ def conv1x1_batchnorm(x: Tensor, kernel: Tensor, bias: Tensor, gamma: Tensor,
     for a [1,1,Cin,Cout] kernel, without building the conv's output.
 
     The normalization by ``stats`` is folded into the kernel and bias
-    (Jacob et al., CVPR 2018) with the no-grad pass's arithmetic: ``x @
-    (w * scale)`` into a fresh buffer, ``+= b * scale + shift``, then
+    (Jacob et al., CVPR 2018) as a folded eval layer is: ``x @ (w *
+    scale)`` into a fresh buffer, ``+= b * scale + shift``, then
     rectified in place. ``online`` mode then folds the statistics of the
     conv's output into ``stats``, taken in float64 from the moments of
     the input: the mean is ``x̄ @ w + b`` and the biased variance ``wᵀ Σ
@@ -902,22 +894,23 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 def fully_connected(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map [N] @ [N,M] + [M].
+    """Affine map [N] @ [N,M] + [M], or of rows [R,N] @ [N,M] + [M].
 
     The weight gradient is the outer product of ``x`` and the output
-    gradient. The backward pass only records the pair on ``weights``;
-    the first read of ``weights.grad`` adds the recorded outer products
-    in as one ``X.T @ G`` (see ``Tensor.grad``). Within a batch of
-    per-image graphs the sum is therefore taken in the order of one
-    GEMM rather than image by image, which moves float32 results in the
-    last bits (float64 within 1e-12 of summed ``np.outer`` products).
+    gradient, summed over rows. The backward pass only records the rows
+    on ``weights``; the first read of ``weights.grad`` adds every
+    recorded row in as one ``X.T @ G`` (see ``Tensor.grad``). Within a
+    batch of per-image graphs the sum is therefore taken in the order of
+    one GEMM rather than image by image, which moves float32 results in
+    the last bits (float64 within 1e-12 of summed ``np.outer`` products).
+    With OpenBLAS a [1,N] row gives the [N] vector's bytes.
     """
     x, weights, bias = _as_tensor(x), _as_tensor(weights), _as_tensor(bias)
-    if x.data.ndim != 1 or weights.data.ndim != 2:
-        raise ShapeError("fully_connected: expects x [N] and weights [N,M]")
+    if x.data.ndim not in (1, 2) or weights.data.ndim != 2:
+        raise ShapeError("fully_connected: expects x [N] or [R,N] and weights [N,M]")
     n, m = weights.shape
-    if x.shape != (n,):
-        raise ShapeError(f"fully_connected: input length {x.shape[0]} != weight "
+    if x.shape[-1] != n:
+        raise ShapeError(f"fully_connected: input length {x.shape[-1]} != weight "
                          f"rows {n} (dim 0)")
     if bias.shape != (m,):
         raise ShapeError(f"fully_connected: bias length {bias.shape} != ({m},)")
@@ -926,11 +919,12 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     if result.requires_grad:
         def _backward(g: np.ndarray) -> None:
             if x.requires_grad:
-                _accum(x, weights.data @ g)
+                _accum(x, (weights.data @ g.T).T)
             if weights.requires_grad:
-                _accum_outer(weights, x.data, g)
+                _accum_outer(weights, x.data.reshape(-1, n), g.reshape(-1, m))
             if bias.requires_grad:
-                _accum(bias, g, shared=True)
+                # summed onto -0, so that a lone row keeps its signed zeros
+                _accum(bias, g.reshape(-1, m).sum(axis=0, initial=-0.0))
         result._backward_fn = _backward
     return result
 

@@ -433,3 +433,43 @@ class TestFullyConnectedWeightGradient:
         assert np.array_equal(first.data, before[0])
         assert np.array_equal(w.data, before[1])
         assert state.velocities == {}
+
+
+class TestFullyConnectedRows:
+    """Rows [R,N] through ``fully_connected``: one row gives the bytes of
+    the [N] vector, and R rows are R vectors up to summation order."""
+
+    @staticmethod
+    def _pass(x, w, b, g):
+        """The output and the input, weight and bias gradients of one
+        backward pass from the output gradient ``g``."""
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = fully_connected(x, w, b)
+        out._backward_fn(g)
+        return out.data, x.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, m", [(5, 3), (96, 24), (4096, 512)])
+    def test_one_row_is_byte_identical_to_the_vector(self, dtype, n, m):
+        rng = np.random.default_rng(51)
+        for _ in range(5):
+            x, b, g = (rng.normal(size=k).astype(dtype) for k in (n, m, m))
+            g[::3] = -0.0  # as a ReLU's mask leaves it
+            w = rng.normal(size=(n, m)).astype(dtype)
+            vector = self._pass(x, w, b, g)
+            assert vector[3].tobytes() == g.tobytes()  # signed zeros kept
+            for got, want in zip(self._pass(x[None], w, b, g[None]), vector):
+                assert got.dtype == dtype and got.size == want.size
+                assert got.tobytes() == want.tobytes()
+
+    def test_float64_rows_within_1e12_of_one_vector_each(self):
+        rng = np.random.default_rng(52)
+        x, g = rng.normal(size=(5, 60)), rng.normal(size=(5, 7))
+        w, b = rng.normal(size=(60, 7)), rng.normal(size=7)
+        rows = self._pass(x, w, b, g)
+        each = [self._pass(xi, w, b, gi) for xi, gi in zip(x, g)]
+        for k, got in enumerate(rows):
+            want = [e[k] for e in each]
+            want = np.stack(want) if k < 2 else sum(want)  # per row, summed
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12

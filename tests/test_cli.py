@@ -509,6 +509,21 @@ class TestInferCommand:
                      "--out", str(tmp_path / "x")]) == EXIT_IO
         assert "error:" in capsys.readouterr().err
 
+    def test_shape_error_is_a_fault_not_exit_2(self, tmp_path, fresh_checkpoint,
+                                               monkeypatch):
+        # a ShapeError is a ValueError, but it comes from the model code
+        import chroma.cli
+        from chroma.tensor import ShapeError
+
+        def broken(*args, **kwargs):
+            raise ShapeError("broken forward")
+
+        monkeypatch.setattr(chroma.cli, "full_forward", broken)
+        path, image = fresh_checkpoint
+        with pytest.raises(ShapeError, match="broken forward"):
+            main(["infer", str(image), "--checkpoint", str(path),
+                  "--out", str(tmp_path / "x")])
+
     def test_unreadable_image_is_exit_2(self, synthed):
         tmp_path, cfg = synthed
         assert main(["train", "--config", str(cfg)]) == EXIT_OK
@@ -747,7 +762,7 @@ class TestGradcheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["gradcheck"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "all 36 gradient checks passed" in out
+        assert "all 37 gradient checks passed" in out
 
     def test_corrupted_modulation_backward_is_caught(self, capsys, monkeypatch):
         # negative control: a modulate whose backward rule is wrong

@@ -9,6 +9,7 @@ from chroma.networks import CnNet, VaNet, full_forward, masked_nll_loss
 from chroma.tensor import (
     ShapeError,
     Tensor,
+    _bn_affine,
     conv1x1_batchnorm,
     conv2d,
     cross_entropy,
@@ -38,12 +39,14 @@ class TestCnForward:
         assert dev < 1e-3
 
     def test_table_geometry_is_exact_at_227(self):
-        # 227 -> 113 -> 227: the upsample needs no crop at the reference
-        # resolution, and the 64x64 default needs a single-pixel crop
-        assert CnNet.geometry(227) == (113, 227)
-        assert CnNet.geometry(9) == (4, 9)
-        pooled, up = CnNet.geometry(64)
-        assert (pooled, up) == (32, 65)
+        # 227 -> 113 -> 227 and 9 -> 4 -> 9: the upsample needs no crop;
+        # the 64x64 default (64 -> 32 -> 65) needs a single-pixel crop
+        net = CnNet(num_classes=3, width=6, seed=3)
+        for size, cropped in ((9, False), (64, True), (227, False)):
+            y = net.forward(np.full((size, size, 3), 0.5))
+            assert y.shape == (size, size, 3)
+            ops = {node.op for node in y._toposort()}
+            assert "deconv2d" in ops and ("crop_spatial" in ops) == cropped
 
     def test_even_sizes_work_via_crop(self):
         rng = np.random.default_rng(3)
@@ -58,12 +61,14 @@ class TestCnForward:
         for arr in net.state().values():
             arr[...] += rng.uniform(0.1, 0.5, size=arr.shape)
         x = _image(rng, 9, 10).astype(np.float32)
-        p = net.parameters()
-        gamma, beta, stats = getattr(net, f"{layer}_bn")
+        p, stats = net.parameters(), net.stats()[f"{layer}.bn"]
+        gamma, beta = p[f"{layer}.bn.gamma"], p[f"{layer}.bn.beta"]
+        _, scale, shift = _bn_affine(gamma.data, beta.data, stats.mean, stats.var)
+        w, b = p[f"{layer}.conv.w"].data, p[f"{layer}.conv.b"].data
         with no_grad():
             out = conv1x1_batchnorm(x, p[f"{layer}.conv.w"], p[f"{layer}.conv.b"],
                                     gamma, beta, stats, mode="eval")
-            folded = conv2d(x, *net._folded(layer))
+            folded = conv2d(x, w * scale, b * scale + shift)
         assert out.data.tobytes() == np.maximum(folded.data, 0.0).tobytes()
 
     def test_too_small_input_lists_valid_sizes(self):
@@ -310,6 +315,35 @@ class TestFullForward:
             va.forward(images, train=True)
         with no_grad():
             assert va.forward(images).shape == (2, 16, 16)
+
+    @staticmethod
+    def _va(dtype):
+        return VaNet(resolution=16, stages=2, channels=(4, 6), fc_width=32,
+                     bottleneck_channels=2, dec_channels=(4, 3), dtype=dtype,
+                     seed=13)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stack_of_one_is_byte_identical_to_its_image(self, dtype):
+        image = _image(np.random.default_rng(23), 16, 16).astype(dtype)
+        va = self._va(dtype)
+        with no_grad():
+            stacked = va.forward(image[None]).data
+            single = va.forward(image).data
+        assert stacked.shape == (1, 16, 16) and single.any()
+        assert stacked[0].tobytes() == single.tobytes()
+
+    def test_float32_stack_within_1e6_of_each_image_at_its_peak(self):
+        # not byte-identical: the stacked fc1/fc2 products round
+        # differently, by a few float32 ulps of the map's peak
+        images = np.random.default_rng(24).uniform(size=(5, 16, 16, 3))
+        images = images.astype(np.float32)
+        va = self._va(np.float32)
+        with no_grad():
+            maps = va.forward(images).data
+            each = np.stack([va.forward(image).data for image in images])
+        assert maps.shape == (5, 16, 16) and maps.dtype == np.float32
+        peak = np.abs(each).max()
+        assert peak > 0 and np.abs(maps - each).max() < 1e-6 * peak
 
     def test_deterministic_under_no_grad(self):
         rng = np.random.default_rng(17)

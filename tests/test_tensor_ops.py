@@ -647,9 +647,10 @@ class TestFullyConnected:
         got = fully_connected(Tensor(x), Tensor(w), Tensor(b)).data
         assert np.abs(got - fc_loops(x, w, b)).max() < 1e-9
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 2, 4)])
+    def test_dimension_mismatch(self, shape):
         with pytest.raises(ShapeError):
-            fully_connected(Tensor(np.ones(3)), Tensor(np.ones((4, 2))),
+            fully_connected(Tensor(np.ones(shape)), Tensor(np.ones((4, 2))),
                             Tensor(np.zeros(2)))
 
 
