@@ -55,6 +55,9 @@ _MUTED_GRID = _GRID[_GRID.max(axis=1) - _GRID.min(axis=1) < 0.2]
 # upper bounds on the generator keys that size its work and memory
 GENERATOR_LIMITS = {"n_per_class": 1000, "image_size": 512,
                     "clutter_patches": 100, "distractors": 10}
+# and on their product: the dataset is generated in memory as float64,
+# about 1.75 x classes x n_per_class x image_size**2 x 24 bytes
+GENERATOR_MAX_BYTES = 4 * 2**30
 # distractors are kept smaller than principals so the bootstrap saliency
 # mask is dominated by correctly labeled pixels
 DISTRACTOR_SCALE_RANGE = (0.12, 0.22)
@@ -191,6 +194,11 @@ def generator_plan(cfg: RunConfig) -> tuple[tuple[str, ...], np.ndarray,
     for name, limit in GENERATOR_LIMITS.items():
         if getattr(cfg, name) > limit:
             raise ConfigError(f"{name} must be at most {limit}")
+    size = 1.75 * len(cfg.vocab()) * cfg.n_per_class * cfg.image_size ** 2 * 24
+    if size > GENERATOR_MAX_BYTES:
+        raise ConfigError(f"the generated dataset would take about "
+                          f"{size / 2**30:.2f} GiB, above the "
+                          f"{GENERATOR_MAX_BYTES / 2**30:g} GiB bound")
     if cfg.image_size < 8:
         raise ConfigError("image_size must be at least 8")
     lo, hi = cfg.scale_min, cfg.scale_max

@@ -312,15 +312,13 @@ class VaNet(_ParamStore):
                              f"grid after {stages} stages")
         self.resolution = resolution
         self.stages = stages
-        self.channels = tuple(channels)
         self.bottleneck_channels = bottleneck_channels
-        self.dec_channels = tuple(dec_channels)
         self.use_prior = use_prior
         self.grid = grid
 
         xavier = self._xavier_init
         prev = 3
-        for i, ch in enumerate(self.channels):
+        for i, ch in enumerate(channels):
             self._param(f"enc{i}.conv.w", (3, 3, prev, ch),
                         xavier(9 * prev, 9 * ch))
             self._param(f"enc{i}.conv.b", (ch,), np.zeros)
@@ -337,7 +335,7 @@ class VaNet(_ParamStore):
                         lambda shape: gaussian_kernel(grid, grid / 4.0,
                                                       self.dtype))
         prev = bottleneck_channels
-        for i, ch in enumerate(self.dec_channels):
+        for i, ch in enumerate(dec_channels):
             self._param(f"dec{i}.deconv.w", (2, 2, ch, prev),
                         xavier(4 * prev, 4 * ch))
             self._bn(f"dec{i}.bn", ch)

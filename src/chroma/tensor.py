@@ -108,14 +108,11 @@ class Tensor:
     __slots__ = ("data", "_grad", "_pending", "requires_grad", "op", "_parents",
                  "_backward_fn", "_backward_run")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, op: str = "leaf",
+    def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = ()):
-        if dtype is not None:
-            arr = np.asarray(data, dtype=dtype)
-        else:
-            arr = np.asarray(data)
-            if arr.dtype not in (np.float32, np.float64):
-                arr = arr.astype(_DEFAULT_DTYPE)
+        arr = np.asarray(data)
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(_DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.op = op

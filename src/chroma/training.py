@@ -11,19 +11,16 @@ Frozen parameters (and their batchnorm statistics) are bit-identical
 across the other branch's phase: the frozen branch's outputs cannot
 change, so they are precomputed once per phase under ``no_grad`` (on
 training and validation images), and only the trained branch's
-parameters are stepped. No gradient reaches
-the frozen branch. :func:`train` writes a checkpoint after pretraining
-and after each phase; its ``resume.*`` counters say where the schedule
-goes on, so a run resumed from any checkpoint ends as the uninterrupted
-run does.
+parameters are stepped. No gradient reaches the frozen branch.
+:func:`train` writes a checkpoint after pretraining and after each
+phase; its ``resume.*`` counters say where the schedule goes on, so a
+run resumed from any checkpoint ends as the uninterrupted run does.
 
-Both stages run their epochs through one loop (:func:`_run_epochs`):
-learning rate, shuffle, minibatches of per-image graphs, an SGD step
-per batch, a restore of the last good state on divergence, validation
-and a log row. Each stage supplies only its per-image loss and the
-parameters it steps. Every stage, and each phase within alternation,
-starts a fresh momentum buffer, so no optimizer state outlives a phase
-or goes into a checkpoint.
+Pretraining and every phase run through one function
+(:func:`_run_phase`): the phase name decides which branches it trains
+and which it freezes, its batch size, its epoch count and its per-image
+loss. Each starts a fresh momentum buffer, so no optimizer state
+outlives a phase or goes into a checkpoint.
 
 Step sizes: every phase steps with the same schedule. The attention
 branch emits maps of unit root mean square (see :class:`VaNet`), so the
@@ -63,7 +60,7 @@ from chroma.checkpoint import read_checkpoint, write_checkpoint
 from chroma.config import ConfigError, RunConfig
 from chroma.data import EvalSample, WeakSample, resize_bilinear
 from chroma.modulation import ImageScore
-from chroma.networks import CnNet, VaNet, full_forward, image_score, masked_nll_loss
+from chroma.networks import CnNet, VaNet, image_score, masked_nll_loss
 from chroma.saliency import binarize, compute_saliency
 from chroma.tensor import OptimizerState, Tensor, cross_entropy, no_grad, sgd_step
 
@@ -164,20 +161,6 @@ def _restore(nets, snap: dict[str, np.ndarray]) -> None:
             a[...] = snap[k]
 
 
-def _validation_accuracy(cn: CnNet, va: VaNet | None, images: np.ndarray,
-                         labels, cached: dict) -> float:
-    """Image accuracy of the model ``(cn, va)`` on the stack ``images``,
-    reusing the outputs in ``cached`` of a frozen branch on them."""
-    if len(images) == 0:
-        return 0.0
-    colors = cached.get(cn) or _cache_forward(cn, images)
-    maps = [None] * len(images) if va is None else (
-        cached.get(va) or _cache_forward(va, images))
-    with no_grad():
-        return image_accuracy([image_score(y, a) for y, a in zip(colors, maps)],
-                              labels)
-
-
 @dataclass
 class _StageData:
     """The training and validation images, at the training resolution,
@@ -203,30 +186,65 @@ class _StageData:
                    val_labels=[s.label for s in val_samples])
 
 
-def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
-                phase: str, nets, image_loss, batch_size: int, n_epochs: int,
-                epoch: int, lr_origin: int, cn: CnNet, va: VaNet | None
-                ) -> tuple[int, list[float]]:
-    """Run ``n_epochs`` SGD epochs of pretraining or of one phase,
-    training the branches in ``nets`` (``cn``, ``va`` or both).
+def _cache_forward(net, images: np.ndarray) -> list:
+    """Eval-mode outputs of a frozen branch on a stack, as constant
+    tensors; a missing branch (None) gives None per image."""
+    if net is None:
+        return [None] * len(images)
+    with no_grad():
+        if isinstance(net, VaNet) and len(images):
+            return [Tensor(a) for a in net.forward(images).data]
+        return [net.forward(img) for img in images]
 
-    ``image_loss(i)`` builds the loss graph of training image ``i``; a
-    batch's per-image graphs are backpropagated one at a time with
-    ``seed=1/len(batch)``. The parameters of ``nets``, named ``cn.*``
-    and ``va.*``, start each batch without gradients and take one
-    momentum step per batch. The learning rate follows
-    :func:`lr_at_epoch` on ``epoch - lr_origin``. A non-finite loss or
-    gradient restores ``nets`` to the start of the epoch and raises
+
+def _run_phase(config: RunConfig, data: _StageData, log: TrainLog,
+               phase: str, cn: CnNet, va: VaNet | None, epoch: int,
+               lr_origin: int) -> tuple[int, float]:
+    """Run the SGD epochs of pretraining (PRETRAIN, with ``va`` None)
+    or of one VA, CN or JOINT phase of the model ``(cn, va)``.
+
+    The phase name decides the rest: PRETRAIN and CN train ``cn`` in
+    batches of ``cn_batch_size``, VA trains ``va`` and JOINT both, in
+    batches of ``va_batch_size``; PRETRAIN runs ``pretrain_epochs``, a
+    phase ``phase_epochs``. Before the first epoch's clock starts, the
+    untrained branch's outputs on the training and validation stacks
+    (:func:`_cache_forward`) and pretraining's saliency masks are
+    computed once. The per-image loss is the saliency-masked NLL for
+    PRETRAIN, else the cross entropy of the image score.
+
+    Per batch, the per-image graphs are backpropagated one at a time
+    with ``seed=1/len(batch)`` and the trained parameters take one
+    momentum step. The learning rate follows :func:`lr_at_epoch` on
+    ``epoch - lr_origin``. A non-finite loss or gradient restores the
+    trained branches to the start of the epoch and raises
     :class:`DivergenceError`. Each epoch logs its mean loss and the
-    validation accuracy of the model ``(cn, va)``, computing the outputs
-    of a branch not in ``nets`` once. Returns the next global epoch
-    index and the epoch-mean losses.
+    model's validation accuracy. Returns the next global epoch index
+    and the phase-mean loss.
     """
+    trained = {"PRETRAIN": [cn], "CN": [cn], "VA": [va], "JOINT": [cn, va]}[phase]
+    batch_size = (config.cn_batch_size if phase in ("PRETRAIN", "CN")
+                  else config.va_batch_size)
+    n_epochs = (config.pretrain_epochs if phase == "PRETRAIN"
+                else config.phase_epochs)
+    images, labels = data.images, data.labels
+    frozen = {net: (_cache_forward(net, images),
+                    _cache_forward(net, data.val_images))
+              for net in (cn, va) if net not in trained}
+
+    def out(net, i):  # a branch's output on training image i
+        return (frozen[net][0][i] if net in frozen
+                else net.forward(images[i], train=True))
+
+    if phase == "PRETRAIN":
+        masks = [binarize(compute_saliency(img)) for img in images]
+        image_loss = lambda i: masked_nll_loss(out(cn, i), masks[i], labels[i])
+    else:
+        image_loss = lambda i: cross_entropy(
+            image_score(out(cn, i), out(va, i)).y_hat, labels[i])
+
     what = "pretraining" if phase == "PRETRAIN" else f"{phase} phase"
     params = {f"{net.prefix}.{k}": p
-              for net in nets for k, p in net.parameters().items()}
-    frozen = {net: _cache_forward(net, data.val_images)
-              for net in (cn, va) if net is not None and net not in nets}
+              for net in trained for k, p in net.parameters().items()}
     opt = OptimizerState(learning_rate=config.learning_rate,
                          momentum=config.momentum)
     epoch_losses = []
@@ -234,8 +252,8 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
         t0 = time.perf_counter()
         opt.learning_rate = lr_at_epoch(config.learning_rate, epoch - lr_origin,
                                         config.lr_decay_epochs)
-        good = _snapshot(nets)
-        order = _epoch_order(config.seed, epoch, len(data.images))
+        good = _snapshot(trained)
+        order = _epoch_order(config.seed, epoch, len(images))
         batch_losses = []
         try:
             for batch in _batches(order, batch_size):
@@ -249,61 +267,31 @@ def _run_epochs(config: RunConfig, data: _StageData, log: TrainLog, *,
                 sgd_step(params, opt)
                 batch_losses.append(batch_loss)
         except FloatingPointError as exc:
-            _restore(nets, good)
+            _restore(trained, good)
             raise DivergenceError(
                 f"{what} diverged at epoch {epoch}: {exc}") from exc
         mean_loss = float(np.mean(batch_losses))
         if not np.isfinite(mean_loss):
-            _restore(nets, good)
+            _restore(trained, good)
             raise DivergenceError(f"{what} diverged at epoch {epoch}")
-        val_acc = _validation_accuracy(cn, va, data.val_images, data.val_labels,
-                                       frozen)
+        val_acc = 0.0
+        if data.val_labels:
+            colors, maps = (frozen[net][1] if net in frozen
+                            else _cache_forward(net, data.val_images)
+                            for net in (cn, va))
+            with no_grad():
+                val_acc = image_accuracy([image_score(y, a) for y, a
+                                          in zip(colors, maps)], data.val_labels)
         log.add(epoch=epoch, phase=phase, mean_loss=mean_loss,
                 val_image_accuracy=val_acc, learning_rate=opt.learning_rate,
                 wall_time=time.perf_counter() - t0)
         epoch += 1
         epoch_losses.append(mean_loss)
-    return epoch, epoch_losses
+    return epoch, float(np.mean(epoch_losses))
 
 
 # ---------------------------------------------------------------------------
 # the training schedule
-
-
-def _cache_forward(net, images: np.ndarray) -> list[Tensor]:
-    """Eval-mode outputs of a frozen branch on a stack, as constant tensors."""
-    with no_grad():
-        if isinstance(net, VaNet) and len(images):
-            return [Tensor(a) for a in net.forward(images).data]
-        return [net.forward(img) for img in images]
-
-
-def _calibrate_batchnorm(net, images) -> None:
-    """Replace a fresh branch's initial (0, 1) batchnorm statistics with
-    statistics of real activations: one gradient-free pass over the
-    images in online mode."""
-    with no_grad():
-        for img in images:
-            net.forward(img, train=True)
-
-
-def _phase_loss(phase: str, cn: CnNet, attention: VaNet | None,
-                data: _StageData):
-    """One phase's per-image loss: the cross entropy of the image score,
-    as a function of the image index. A frozen branch's outputs are
-    computed once, up front."""
-    images = data.images
-    if phase == "VA":
-        colors = _cache_forward(cn, images)
-        score = lambda i: image_score(colors[i],
-                                      attention.forward(images[i], train=True))
-    elif phase == "CN" and attention is not None:
-        maps = _cache_forward(attention, images)
-        score = lambda i: image_score(cn.forward(images[i], train=True),
-                                      maps[i])
-    else:  # JOINT, or a CN phase without an attention branch
-        score = lambda i: full_forward(cn, attention, images[i], train=True)[2]
-    return lambda i: cross_entropy(score(i).y_hat, data.labels[i])
 
 
 def _resume_point(counters: Mapping[str, str], config: RunConfig
@@ -360,21 +348,14 @@ def train(cn: CnNet, va: VaNet | None, splits: Mapping[str, list[WeakSample]],
     log = TrainLog()
     try:
         if counters is None:
-            masks = [binarize(compute_saliency(img)) for img in data.images]
-
-            def pretrain_loss(i):
-                y = cn.forward(data.images[i], train=True)
-                return masked_nll_loss(y, masks[i], data.labels[i])
-
-            epoch, _ = _run_epochs(
-                config, data, log, phase="PRETRAIN", nets=[cn],
-                image_loss=pretrain_loss, batch_size=config.cn_batch_size,
-                n_epochs=config.pretrain_epochs, epoch=0, lr_origin=0,
-                cn=cn, va=None)
+            epoch, _ = _run_phase(config, data, log, "PRETRAIN", cn, None, 0, 0)
             save("pretrain.ckpt", 0)
 
         if phase_index == 0 and va is not None:
-            _calibrate_batchnorm(va, data.images)
+            # one online pass calibrates the fresh branch's batchnorm statistics
+            with no_grad():
+                for img in data.images:
+                    va.forward(img, train=True)
         # the lr counter spans the alternation phases; log epochs stay
         # globally monotone across pretraining and phases
         lr_origin = epoch - phase_index * config.phase_epochs
@@ -390,15 +371,8 @@ def train(cn: CnNet, va: VaNet | None, splits: Mapping[str, list[WeakSample]],
                 phase = "JOINT"
             else:
                 phase = "VA" if idx % 2 == 0 else "CN"
-            epoch, epoch_losses = _run_epochs(
-                config, data, log, phase=phase,
-                nets={"VA": [va], "CN": [cn], "JOINT": [cn, va]}[phase],
-                image_loss=_phase_loss(phase, cn, va, data),
-                batch_size=(config.cn_batch_size if phase == "CN"
-                            else config.va_batch_size),
-                n_epochs=config.phase_epochs, epoch=epoch,
-                lr_origin=lr_origin, cn=cn, va=va)
-            phase_loss = float(np.mean(epoch_losses))
+            epoch, phase_loss = _run_phase(config, data, log, phase, cn, va,
+                                           epoch, lr_origin)
             converged = (np.isfinite(last_loss) and
                          abs(phase_loss - last_loss) / max(abs(last_loss), 1e-12)
                          < config.convergence_tol)
@@ -498,7 +472,7 @@ def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
         raise ValueError("evaluate_model: empty sample list")
     labels = [s.label for s in samples]
     images = _prepare_images(samples, resolution)
-    maps = [None] * len(samples) if va is None else _cache_forward(va, images)
+    maps = _cache_forward(va, images)
     scores: list[ImageScore] = []
     loc_stats: list[LocalizationStats] = []
     pixel_accs: list[float] = []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chroma.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_IO, EXIT_OK, \
     heatmap_colormap, main, render_heatmap
 from chroma.config import RunConfig
-from chroma.data import GENERATOR_LIMITS
+from chroma.data import GENERATOR_LIMITS, GENERATOR_MAX_BYTES
 from chroma.netpbm import read_ppm, write_ppm
 
 
@@ -120,6 +120,32 @@ class TestSynthCommand:
         assert main(["synth", "--config", str(cfg), "--out",
                      str(out)]) == EXIT_CONFIG
         assert f"error: {key} must be at most {limit}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_above_the_size_bound_is_config_error_before_allocating(
+            self, tmp_path, capsys, monkeypatch):
+        import tracemalloc
+
+        import chroma.data
+
+        def render(*args):
+            raise AssertionError("rendered a sample of an oversized dataset")
+
+        # six classes at 512 px: 65 images per class fit, 66 do not
+        estimate = lambda n: 1.75 * 6 * n * 512 ** 2 * 24
+        assert estimate(65) <= GENERATOR_MAX_BYTES < estimate(66)
+        monkeypatch.setattr(chroma.data, "_render_sample", render)
+        cfg = _write_cfg(tmp_path, image_size=512, n_per_class=66)
+        out = tmp_path / "huge"
+        tracemalloc.start()
+        try:
+            code = main(["synth", "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert "GiB bound" in capsys.readouterr().err
+        assert peak < 2**26
         assert not out.exists()
 
 
@@ -547,6 +573,25 @@ def test_eval_and_infer_reject_model_flags(argv, flag, capsys):
         main(argv + flag)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval"], EXIT_CONFIG),
+    (["infer", "x.ppm"], EXIT_CONFIG),
+    (["train"], EXIT_CONFIG),  # no config, so no dataset_root
+    (["train", "--config", "missing.cfg"], EXIT_IO),
+    (["eval", "--checkpoint", "a_directory"], EXIT_IO),
+    (["infer", "missing.ppm", "--checkpoint", "missing.ckpt"], EXIT_IO),
+])
+def test_malformed_command_line_is_an_error_line_and_exit_code(
+        tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_directory").mkdir()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "a_directory"]
 
 
 @pytest.fixture()

@@ -246,44 +246,53 @@ class TestAlternatingTrain:
                              (frozenset({"cn"}), "cn"): {True},
                              (frozenset({"cn"}), "va"): {False}}
 
-    @pytest.mark.parametrize("phase", ["VA", "CN"])
-    def test_cached_validation_equals_the_uncached_value(self, phase,
+    @pytest.mark.parametrize("phase, ablation", [
+        ("PRETRAIN", "none"), ("VA", "none"), ("CN", "none"),
+        ("JOINT", "no-alternation"), ("CN", "no-attention")])
+    def test_cached_validation_equals_the_uncached_value(self, phase, ablation,
                                                          monkeypatch):
-        from chroma.training import (TrainLog, _cache_forward, _phase_loss,
-                                     _run_epochs, _StageData,
-                                     _validation_accuracy)
-        cfg = _tiny_run_config(n_per_class=8)
+        from chroma.networks import CnNet, VaNet, image_score
+        from chroma.training import (TrainLog, _cache_forward, _run_phase,
+                                     _StageData)
+        cfg = _tiny_run_config(n_per_class=8, phase_epochs=2, ablation=ablation)
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
+        model_va = None if phase == "PRETRAIN" else va
         data = _StageData.prepare(cfg, weak["train"], weak["val"])
-        trained, frozen = (va, cn) if phase == "VA" else (cn, va)
-        before = _cache_forward(frozen, data.val_images)
+        trained = {"PRETRAIN": [cn], "VA": [va], "CN": [cn],
+                   "JOINT": [cn, va]}[phase]
+        untrained = [net for net in (cn, va)
+                     if net is not None and net not in trained]
+        before = [_cache_forward(net, data.val_images) for net in untrained]
         calls = {"n": 0}
-        real = type(frozen).forward
-
-        def counting(net, *args, **kwargs):
-            calls["n"] += net is frozen
-            return real(net, *args, **kwargs)
-
+        for cls in (CnNet, VaNet):
+            def counting(net, *args, _real=cls.forward, **kwargs):
+                calls["n"] += net in untrained
+                return _real(net, *args, **kwargs)
+            monkeypatch.setattr(cls, "forward", counting)
         log = TrainLog()
-        monkeypatch.setattr(type(frozen), "forward", counting)
-        _run_epochs(cfg, data, log, phase=phase, nets=[trained],
-                    image_loss=_phase_loss(phase, cn, va, data),
-                    batch_size=cfg.va_batch_size, n_epochs=2, epoch=0,
-                    lr_origin=0, cn=cn, va=va)
+        next_epoch, phase_loss = _run_phase(cfg, data, log, phase, cn,
+                                            model_va, 0, 0)
         monkeypatch.undo()
-        # the frozen branch ran once over the validation and once over the
-        # training images, per image or (the attention branch) per stack
-        assert calls["n"] == (len(data.val_images) + len(data.images)
-                              if phase == "VA" else 2)
-        after = _cache_forward(frozen, data.val_images)
-        assert [t.data.tobytes() for t in after] == \
-            [t.data.tobytes() for t in before]
-        uncached = _validation_accuracy(cn, va, data.val_images,
-                                        data.val_labels, {})
+        assert next_epoch == len(log.records)
+        assert phase_loss == np.mean([r.mean_loss for r in log.records])
+        # a frozen branch runs once over the training and once over the
+        # validation images: per image (the color branch) or per stack
+        # (the attention branch); nothing else runs it
+        expected = {"VA": len(data.images) + len(data.val_images),
+                    "CN": 2 if model_va is not None else 0}.get(phase, 0)
+        assert calls["n"] == expected
+        after = [_cache_forward(net, data.val_images) for net in untrained]
+        assert [[t.data.tobytes() for t in out] for out in after] == \
+            [[t.data.tobytes() for t in out] for out in before]
+        colors = _cache_forward(cn, data.val_images)
+        maps = _cache_forward(model_va, data.val_images)
+        with no_grad():
+            uncached = image_accuracy([image_score(y, a) for y, a
+                                       in zip(colors, maps)], data.val_labels)
+        assert [r.epoch for r in log.records] == list(range(
+            cfg.pretrain_epochs if phase == "PRETRAIN" else cfg.phase_epochs))
         assert log.records[-1].val_image_accuracy == uncached
-        assert _validation_accuracy(cn, va, data.val_images, data.val_labels,
-                                    {frozen: before}) == uncached
 
     def test_no_attention_ablation_runs_cn_only(self, tmp_path):
         cfg = _tiny_run_config(ablation="no-attention", max_phases=2,
