@@ -39,6 +39,7 @@ from chroma.networks import full_forward
 from chroma.tensor import ShapeError, no_grad
 from chroma.training import (
     DivergenceError,
+    StageData,
     build_networks,
     evaluate_model,
     load_model,
@@ -136,7 +137,10 @@ def cmd_train(args) -> int:
     else:
         cn, va = build_networks(cfg, len(vocab))
 
-    log = train(cn, va, splits, cfg, out, counters)
+    # training reads only the float32 stacks: drop the float64 samples
+    data = StageData.prepare(cfg, splits["train"], splits["val"])
+    del splits
+    log = train(cn, va, data, cfg, out, counters)
     print(f"training complete: {len(log.records)} epochs, checkpoints in {out}")
     if log.records:
         print(f"final val image accuracy: "

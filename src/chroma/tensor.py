@@ -66,6 +66,7 @@ BN_STAT_DECAY = 0.9
 LOG_CLAMP = 1e-12
 
 _DEFAULT_DTYPE = np.float64
+_STEP_BLOCK = 1 << 16  # at most this many elements (or one row) per sgd_step block
 _grad_enabled = True
 
 
@@ -980,7 +981,9 @@ def sgd_step(params: Mapping[str, Tensor], state: OptimizerState) -> None:
     Every gradient is checked first: a shape mismatch raises
     ``ShapeError`` and a non-finite gradient raises ``FloatingPointError``
     naming the parameter, in both cases before any parameter or velocity
-    has changed.
+    has changed. The check and the update ``p -= lr * v`` run over blocks
+    of rows, so no temporary is the size of a parameter; each element is
+    updated exactly as by the whole-array expression.
     """
     for name, p in params.items():
         g = p.grad
@@ -989,23 +992,28 @@ def sgd_step(params: Mapping[str, Tensor], state: OptimizerState) -> None:
         if g.shape != p.data.shape:
             raise ShapeError(f"sgd_step: gradient shape {g.shape} != parameter "
                              f"shape {p.data.shape} for '{name}'")
-        if not np.isfinite(g).all():
+        if not all(np.isfinite(b).all() for b in _row_blocks(g)):
             raise FloatingPointError(f"sgd_step: non-finite gradient for "
                                      f"parameter '{name}'")
     for name, p in params.items():
         g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
         if state.momentum > 0.0:
             v = state.velocities.get(name)
             if v is None:
                 v = np.zeros_like(p.data)
                 state.velocities[name] = v
             v *= state.momentum
-            v += g
-            p.data -= state.learning_rate * v
-        else:
-            p.data -= state.learning_rate * g
+            v += 0.0 if g is None else g
+            g = v
+        elif g is None:
+            continue  # p - lr * 0 is p, bit for bit
+        for pb, gb in zip(_row_blocks(p.data), _row_blocks(g)):
+            pb -= state.learning_rate * gb
+
+
+def _row_blocks(a: np.ndarray):
+    rows = max(1, _STEP_BLOCK * len(a) // max(a.size, 1))
+    return (a[i:i + rows] for i in range(0, len(a), rows))
 
 
 def finite_diff_check(fn: Callable[[], Tensor], wrt: Tensor,

@@ -1,6 +1,8 @@
 """Training schedule, evaluation metrics, and model persistence.
 
 Training runs in two stages, both in :func:`train`, the one entry point.
+It reads the images only as the float32 stacks of a :class:`StageData`,
+so a caller that drops its samples once staged holds each image once.
 First the color-naming branch is pretrained alone on saliency-masked
 negative log-likelihood (the only place that loss is used). Then the
 branches are trained alternately on the image-level cross entropy of
@@ -69,6 +71,7 @@ __all__ = [
     "TrainLog",
     "DivergenceError",
     "lr_at_epoch",
+    "StageData",
     "train",
     "pixel_accuracy",
     "image_accuracy",
@@ -162,9 +165,9 @@ def _restore(nets, snap: dict[str, np.ndarray]) -> None:
 
 
 @dataclass
-class _StageData:
-    """The training and validation images, at the training resolution,
-    and their labels."""
+class StageData:
+    """The training and validation images, as float32 stacks at the
+    training resolution, and their labels: all :func:`train` reads."""
 
     images: np.ndarray  # [N,H,W,3]
     labels: list[int]
@@ -173,7 +176,7 @@ class _StageData:
 
     @classmethod
     def prepare(cls, config: RunConfig, train_samples: list[WeakSample],
-                val_samples) -> "_StageData":
+                val_samples) -> "StageData":
         n_train = len(train_samples)
         if n_train < 1:
             raise ConfigError("training split is empty")
@@ -197,7 +200,7 @@ def _cache_forward(net, images: np.ndarray) -> list:
         return [net.forward(img) for img in images]
 
 
-def _run_phase(config: RunConfig, data: _StageData, log: TrainLog,
+def _run_phase(config: RunConfig, data: StageData, log: TrainLog,
                phase: str, cn: CnNet, va: VaNet | None, epoch: int,
                lr_origin: int) -> tuple[int, float]:
     """Run the SGD epochs of pretraining (PRETRAIN, with ``va`` None)
@@ -320,11 +323,11 @@ def _resume_point(counters: Mapping[str, str], config: RunConfig
                  "a number"))
 
 
-def train(cn: CnNet, va: VaNet | None, splits: Mapping[str, list[WeakSample]],
-          config: RunConfig, out: Path,
-          counters: Mapping[str, str] | None = None) -> TrainLog:
-    """Run the training schedule on ``splits["train"]``, validating on
-    ``splits["val"]``, and write its files into the directory ``out``.
+def train(cn: CnNet, va: VaNet | None, data: StageData, config: RunConfig,
+          out: Path, counters: Mapping[str, str] | None = None) -> TrainLog:
+    """Run the training schedule on ``data`` (staged by
+    :meth:`StageData.prepare` with ``config``), validating on its
+    validation images, and write its files into the directory ``out``.
 
     A fresh run (``counters`` is None) pretrains the color branch and
     saves ``pretrain.ckpt``. A run resumed from a checkpoint's
@@ -337,7 +340,6 @@ def train(cn: CnNet, va: VaNet | None, splits: Mapping[str, list[WeakSample]],
     also when an error, such as :class:`DivergenceError`, ends the run.
     """
     phase_index, epoch, last_loss = _resume_point(counters or {}, config)
-    data = _StageData.prepare(config, splits["train"], splits["val"])
     out.mkdir(parents=True, exist_ok=True)
 
     def save(name, next_phase):  # at the current epoch and loss

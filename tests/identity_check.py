@@ -20,6 +20,11 @@ that differ; under a differing ``metrics.txt``, ``trainlog.kv`` or
 without its ``wall_time`` lines. A resumed
 run is compared with the parent's uninterrupted ``final.ckpt``. Exit
 status 0 means every output is identical.
+
+For each ``train`` of both sides, an ``rss`` line reports the peak
+resident set size of the parent's and the change's subprocess side by
+side (from ``os.wait4``). It is a report only: it counts toward no
+verdict and leaves the exit status alone.
 """
 
 from __future__ import annotations
@@ -58,14 +63,21 @@ SCHEDULES = ((2, "0.01"), (3, "0"), (5, "inf"))
 INFER_OUTPUTS = ("prediction.txt", "attention.ppm", "color_names.ppm")
 
 
-def run(src: Path, *args) -> None:
-    """One ``chroma`` command of the tree at ``src``; it must succeed."""
+def run(src: Path, *args) -> float:
+    """One ``chroma`` command of the tree at ``src``; it must succeed.
+    Returns the subprocess's peak resident set size in MB."""
     env = dict(os.environ, PYTHONPATH=str(src), CHROMA_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "chroma.cli", *map(str, args)],
-                          env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"{src}: chroma {' '.join(map(str, args))} exited "
-                 f"{proc.returncode}:\n{proc.stderr}")
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "chroma.cli",
+                                 *map(str, args)], env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            sys.exit(f"{src}: chroma {' '.join(map(str, args))} exited "
+                     f"{proc.returncode}:\n{err.read().decode()}")
+    return usage.ru_maxrss / 1024.0  # KB on Linux
 
 
 def check_import(src: Path) -> None:
@@ -207,14 +219,17 @@ def main() -> int:
             for schedule, cfg in configs.items():
                 name = f"{ablation}.p{schedule[0]}.tol{schedule[1]}"
                 runs = {side: work / side / name for side in sides}
+                rss = {}
                 for side, src in sides.items():
                     out = runs[side]
-                    run(src, "train", "--config", cfg, "--ablation", ablation,
-                        "--out", out)
+                    rss[side] = run(src, "train", "--config", cfg,
+                                    "--ablation", ablation, "--out", out)
                     run(src, "eval", "--checkpoint", out / "final.ckpt",
                         "--out", out / "eval")
                     run(src, "infer", image, "--checkpoint", out / "final.ckpt",
                         "--out", out / "infer")
+                print(f"{'rss':<9}  {name} train peak RSS: parent "
+                      f"{rss['parent']:.1f} MB, change {rss['change']:.1f} MB")
                 parent, change = runs["parent"], runs["change"]
                 ckpts = sorted(p.name for p in parent.glob("*.ckpt"))
                 report.line(ckpts == sorted(p.name for p in change.glob("*.ckpt")),

@@ -1,6 +1,8 @@
 """Backward-pass contracts: graph traversal, gradient accumulation,
 SGD updates, and finite-difference verification of every layer op."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,52 @@ class TestSgdStep:
         for name, p in params.items():
             assert p.data.tobytes() == before[name].tobytes(), name
         assert state.velocities == {}
+
+    def test_step_allocates_no_parameter_sized_temporary(self):
+        # fc1's shape: 8 MB of float32, where a whole-array lr * v alone
+        # would allocate another 8 MB
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.standard_normal((4096, 512)).astype(np.float32),
+                   requires_grad=True)
+        w.grad = rng.standard_normal(w.shape).astype(np.float32)
+        state = OptimizerState(learning_rate=0.01, momentum=0.9)
+        sgd_step({"w": w}, state)  # warm-up: the velocity now exists
+        tracemalloc.start()
+        try:
+            sgd_step({"w": w}, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    # several blocks with a ragged last one (1-D, 2-D, 4-D), and a
+    # parameter with fewer rows than one block
+    @pytest.mark.parametrize("shape", [(150_001,), (1000, 300), (3, 3, 96, 96),
+                                       (7, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_step_is_byte_identical_to_the_whole_array_update(self, shape, dtype,
+                                                              momentum):
+        rng = np.random.default_rng(6)
+        data = rng.standard_normal(shape).astype(dtype)
+        data.reshape(-1)[::7] = -0.0
+        w = Tensor(data.copy(), requires_grad=True)
+        state = OptimizerState(learning_rate=0.01, momentum=momentum)
+        p, v = data.copy(), np.zeros_like(data)
+        for _ in range(3):
+            g = rng.standard_normal(shape).astype(dtype)
+            g.reshape(-1)[::5] = -0.0
+            w.grad = g.copy()
+            sgd_step({"w": w}, state)
+            if momentum > 0.0:
+                v *= momentum
+                v += g
+                p -= 0.01 * v
+            else:
+                p -= 0.01 * g
+        assert w.data.tobytes() == p.tobytes()
+        if momentum > 0.0:
+            assert state.velocities["w"].tobytes() == v.tobytes()
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):

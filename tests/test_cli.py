@@ -169,6 +169,38 @@ class TestTrainCommand:
                      str(final)]) == EXIT_OK
         assert final.read_bytes() == before
 
+    def test_no_dataset_sample_stays_alive_while_training(self, synthed,
+                                                          monkeypatch):
+        # training reads only the staged float32 stacks, so every phase
+        # runs with as many WeakSample objects alive as before the command
+        import gc
+
+        from chroma import training
+        from chroma.data import WeakSample
+
+        def live_samples() -> int:
+            gc.collect()
+            return sum(issubclass(type(o), WeakSample) for o in gc.get_objects())
+
+        counts = []
+        real_run_phase = training._run_phase
+
+        def counting(*args, **kwargs):
+            counts.append(live_samples())
+            return real_run_phase(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_run_phase", counting)
+        tmp_path, cfg = synthed
+        pretrain = tmp_path / "run" / "pretrain.ckpt"
+        for argv, n_phases in ((["train", "--config", str(cfg)], 3),
+                               (["train", "--config", str(cfg), "--checkpoint",
+                                 str(pretrain), "--out", str(tmp_path / "re")],
+                                2)):
+            counts.clear()
+            before = live_samples()
+            assert main(argv) == EXIT_OK
+            assert counts == [before] * n_phases, argv
+
     def test_resume_rejects_a_seed_or_ablation_the_checkpoint_lacks(
             self, synthed, capsys):
         tmp_path, cfg = synthed

@@ -16,6 +16,7 @@ from chroma.tensor import Tensor, cross_entropy, no_grad
 from chroma.training import (
     DivergenceError,
     LocalizationStats,
+    StageData,
     attention_localization,
     build_networks,
     evaluate_model,
@@ -50,8 +51,8 @@ def _tiny_dataset(cfg: RunConfig, single_class=False):
 
 
 def _train(cfg, cn, va, samples, out):
-    """Train without a validation split."""
-    return train(cn, va, {"train": samples, "val": []}, cfg, out)
+    """Stage ``samples`` and train without a validation split."""
+    return train(cn, va, StageData.prepare(cfg, samples, []), cfg, out)
 
 
 def _counters(path) -> dict:
@@ -252,13 +253,12 @@ class TestAlternatingTrain:
     def test_cached_validation_equals_the_uncached_value(self, phase, ablation,
                                                          monkeypatch):
         from chroma.networks import CnNet, VaNet, image_score
-        from chroma.training import (TrainLog, _cache_forward, _run_phase,
-                                     _StageData)
+        from chroma.training import TrainLog, _cache_forward, _run_phase
         cfg = _tiny_run_config(n_per_class=8, phase_epochs=2, ablation=ablation)
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
         model_va = None if phase == "PRETRAIN" else va
-        data = _StageData.prepare(cfg, weak["train"], weak["val"])
+        data = StageData.prepare(cfg, weak["train"], weak["val"])
         trained = {"PRETRAIN": [cn], "VA": [va], "CN": [cn],
                    "JOINT": [cn, va]}[phase]
         untrained = [net for net in (cn, va)
