@@ -23,8 +23,9 @@ status 0 means every output is identical.
 
 For each ``train`` of both sides, an ``rss`` line reports the peak
 resident set size of the parent's and the change's subprocess side by
-side (from ``os.wait4``). It is a report only: it counts toward no
-verdict and leaves the exit status alone.
+side (from ``os.wait4``), and for each ``infer`` a ``time`` line the
+wall time of both subprocesses, start-up included. They are reports
+only: they count toward no verdict and leave the exit status alone.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 TINY_CFG = """\
 dataset_root = {root}
@@ -63,21 +65,24 @@ SCHEDULES = ((2, "0.01"), (3, "0"), (5, "inf"))
 INFER_OUTPUTS = ("prediction.txt", "attention.ppm", "color_names.ppm")
 
 
-def run(src: Path, *args) -> float:
+def run(src: Path, *args) -> tuple[float, float]:
     """One ``chroma`` command of the tree at ``src``; it must succeed.
-    Returns the subprocess's peak resident set size in MB."""
+    Returns the subprocess's peak resident set size in MB and its wall
+    time in seconds."""
     env = dict(os.environ, PYTHONPATH=str(src), CHROMA_THREADS="1")
     with tempfile.TemporaryFile() as err:
+        t0 = perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "chroma.cli",
                                  *map(str, args)], env=env,
                                 stdout=subprocess.DEVNULL, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
+        seconds = perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode != 0:
             err.seek(0)
             sys.exit(f"{src}: chroma {' '.join(map(str, args))} exited "
                      f"{proc.returncode}:\n{err.read().decode()}")
-    return usage.ru_maxrss / 1024.0  # KB on Linux
+    return usage.ru_maxrss / 1024.0, seconds  # KB on Linux
 
 
 def check_import(src: Path) -> None:
@@ -219,17 +224,21 @@ def main() -> int:
             for schedule, cfg in configs.items():
                 name = f"{ablation}.p{schedule[0]}.tol{schedule[1]}"
                 runs = {side: work / side / name for side in sides}
-                rss = {}
+                rss, infer_s = {}, {}
                 for side, src in sides.items():
                     out = runs[side]
                     rss[side] = run(src, "train", "--config", cfg,
-                                    "--ablation", ablation, "--out", out)
+                                    "--ablation", ablation, "--out", out)[0]
                     run(src, "eval", "--checkpoint", out / "final.ckpt",
                         "--out", out / "eval")
-                    run(src, "infer", image, "--checkpoint", out / "final.ckpt",
-                        "--out", out / "infer")
+                    infer_s[side] = run(src, "infer", image, "--checkpoint",
+                                        out / "final.ckpt",
+                                        "--out", out / "infer")[1]
                 print(f"{'rss':<9}  {name} train peak RSS: parent "
                       f"{rss['parent']:.1f} MB, change {rss['change']:.1f} MB")
+                print(f"{'time':<9}  {name} infer wall time: parent "
+                      f"{infer_s['parent']:.3f} s, change "
+                      f"{infer_s['change']:.3f} s")
                 parent, change = runs["parent"], runs["change"]
                 ckpts = sorted(p.name for p in parent.glob("*.ckpt"))
                 report.line(ckpts == sorted(p.name for p in change.glob("*.ckpt")),

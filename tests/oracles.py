@@ -5,6 +5,8 @@ purpose: these functions must stay independent of the vectorized code
 paths they are used to verify.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -192,4 +194,56 @@ def rms_normalize_loops(a):
         for i in range(h):
             for j in range(w):
                 out[i, j] = a[i, j] / rms
+    return out
+
+
+def _edge_lines(x, axis):
+    """Yield (index, at) for each 1-D line of float64 ``x`` along ``axis``:
+    ``index`` places an element of the line in ``x``, ``at(k)`` reads the
+    line extended by repeating its edge values."""
+    n = x.shape[axis]
+    others = [range(d) for a, d in enumerate(x.shape) if a != axis]
+    for rest in itertools.product(*others):
+        def index(k, rest=rest):
+            return rest[:axis] + (k,) + rest[axis:]
+
+        def at(k, index=index):
+            return float(x[index(min(max(k, 0), n - 1))])
+        yield index, at
+
+
+def box3_nearest_loops(x, axis):
+    """3-tap box blur along ``axis``, edges repeated, in scipy.ndimage's
+    ``uniform_filter1d`` order: a running sum of raw values, started at
+    0.0, each output that sum divided by 3."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    for index, at in _edge_lines(x, axis):
+        acc = 0.0
+        for k in range(-1, 2):
+            acc += at(k)
+        out[index(0)] = acc / 3.0
+        for i in range(1, x.shape[axis]):
+            acc += at(i + 1) - at(i - 2)
+            out[index(i)] = acc / 3.0
+    return out
+
+
+def gaussian_nearest_loops(x, sigma, axis):
+    """Gaussian blur along ``axis``, edges repeated, in the order of
+    scipy.ndimage's symmetric ``correlate1d``: the center tap, then each
+    pair of taps ``j`` apart, summed first, for ``j`` from the radius down
+    to 1. The weights are scipy's ``_gaussian_kernel1d`` (numpy ``exp``
+    and ``sum``), so they are built here with numpy as well."""
+    x = np.asarray(x, dtype=np.float64)
+    r = int(4.0 * sigma + 0.5)
+    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = [float(v) for v in phi / phi.sum()]
+    out = np.zeros_like(x)
+    for index, at in _edge_lines(x, axis):
+        for i in range(x.shape[axis]):
+            acc = at(i) * w[r]
+            for j in range(r, 0, -1):
+                acc += (at(i - j) + at(i + j)) * w[r - j]
+            out[index(i)] = acc
     return out

@@ -881,6 +881,39 @@ class TestThreadCap:
         assert out == ["1", "1"]
 
 
+FOOTPRINT_SCRIPT = """
+import sys
+from pathlib import Path
+from chroma.cli import main
+cfg, tmp = sys.argv[1], Path(sys.argv[2])
+run, data = tmp / "run", tmp / "data"
+ckpt = str(run / "final.ckpt")
+assert main(["synth", "--config", cfg, "--out", str(data)]) == 0
+image = str(sorted((data / "test").rglob("*.ppm"))[0])
+assert main(["train", "--config", cfg]) == 0
+assert main(["eval", "--checkpoint", ckpt, "--out", str(run / "eval")]) == 0
+assert main(["infer", image, "--checkpoint", ckpt,
+             "--out", str(run / "infer")]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+class TestFootprint:
+    def test_no_scipy_module_loaded_by_any_command(self, tmp_path):
+        # a fresh process: this one may have loaded scipy for a cross-check
+        import subprocess
+        import sys
+
+        import chroma
+        cfg = _write_cfg(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(chroma.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(cfg),
+                              str(tmp_path)], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert (tmp_path / "run" / "pretrain.ckpt").exists()  # saliency ran
+        assert out.splitlines()[-1] == "[]"
+
+
 class TestHeatmap:
     def test_colormap_endpoints(self):
         table = heatmap_colormap()
