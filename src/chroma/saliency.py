@@ -48,8 +48,11 @@ def _gaussian(x: np.ndarray, sigma: float, axis: int) -> np.ndarray:
     n = x.shape[axis]
     e = _extend(x, axis, r)
     out = e[r:r + n] * w[r]
+    pair = np.empty_like(out)  # one buffer for every tap pair
     for j in range(r, 0, -1):
-        out += (e[r - j:r - j + n] + e[r + j:r + j + n]) * w[r - j]
+        np.add(e[r - j:r - j + n], e[r + j:r + j + n], out=pair)
+        pair *= w[r - j]
+        out += pair
     return np.moveaxis(out, 0, axis)
 
 

@@ -20,10 +20,10 @@ All layer primitives treat the last axis as the channel axis and carry
 no batch dimension; mini-batching is done by accumulating gradients over
 per-image graphs (see ``Tensor.backward``'s ``seed`` argument), except
 that a fully connected layer's weight gradient is formed once per batch,
-as one product over the rows its per-image backward passes recorded
-(see ``Tensor.grad``). Each conv layer's ``relu(bn(x))`` tail is one
-node, :func:`batchnorm`; a 1x1 conv with that tail is one node too,
-:func:`conv1x1_batchnorm`.
+block by block, as products over the rows its per-image backward passes
+recorded (see :func:`_grad_blocks`). Each conv layer's ``relu(bn(x))``
+tail is one node, :func:`batchnorm`; a 1x1 conv with that tail is one
+node too, :func:`conv1x1_batchnorm`.
 """
 
 from __future__ import annotations
@@ -130,15 +130,14 @@ class Tensor:
         A fully connected layer's backward pass does not form its weight
         gradient: it records the rows ``(x, g)`` of the product ``x.T @
         g`` (:func:`_accum_outer`). The first read folds every recorded
-        row in at once, as ``X.T @ G`` over the stacked rows, so a batch
-        of per-image graphs writes an [N,M] weight gradient once.
-        Assigning ``grad`` (``None`` before a batch) drops any recorded
-        rows.
+        row in at once, joining the blocks of :func:`_grad_blocks`, so a
+        batch of per-image graphs writes an [N,M] weight gradient once,
+        with the bytes :func:`sgd_step` steps along. Assigning ``grad``
+        (``None`` after a step) drops any recorded rows.
         """
         if self._pending:
-            xs, gs = zip(*self._pending)
+            self._grad = np.concatenate(list(_grad_blocks(self)))
             self._pending = None
-            _accum(self, np.concatenate(xs).T @ np.concatenate(gs))
         return self._grad
 
     @grad.setter
@@ -239,7 +238,8 @@ def _accum(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
 
 def _accum_outer(t: Tensor, x: np.ndarray, g: np.ndarray) -> None:
     """Add ``x.T @ g`` (rows [R,N] and [R,M]) into ``t.grad`` when it is
-    next read: the rows are recorded, not multiplied (see ``Tensor.grad``)."""
+    next read or stepped: the rows are recorded, not multiplied (see
+    :func:`_grad_blocks`)."""
     if t._pending is None:
         t._pending = []
     t._pending.append((x, g))
@@ -896,11 +896,12 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
     The weight gradient is the outer product of ``x`` and the output
     gradient, summed over rows. The backward pass only records the rows
-    on ``weights``; the first read of ``weights.grad`` adds every
-    recorded row in as one ``X.T @ G`` (see ``Tensor.grad``). Within a
-    batch of per-image graphs the sum is therefore taken in the order of
-    one GEMM rather than image by image, which moves float32 results in
-    the last bits (float64 within 1e-12 of summed ``np.outer`` products).
+    on ``weights``; a read of ``weights.grad`` or a step adds every
+    recorded row in as ``X.T @ G``, one block of rows at a time (see
+    :func:`_grad_blocks`). Within a batch of per-image graphs the sum is
+    therefore taken in the order of a GEMM rather than image by image,
+    which moves float32 results in the last bits (float64 within 1e-12
+    of summed ``np.outer`` products).
     With OpenBLAS a [1,N] row gives the [N] vector's bytes.
     """
     x, weights, bias = _as_tensor(x), _as_tensor(weights), _as_tensor(bias)
@@ -975,45 +976,73 @@ class OptimizerState:
 
 def sgd_step(params: Mapping[str, Tensor], state: OptimizerState) -> None:
     """Apply one SGD update in place to every named parameter, stepping
-    along its accumulated ``grad`` (a parameter without one steps along
+    along its accumulated gradient (a parameter without one steps along
     zero).
 
     Every gradient is checked first: a shape mismatch raises
     ``ShapeError`` and a non-finite gradient raises ``FloatingPointError``
     naming the parameter, in both cases before any parameter or velocity
-    has changed. The check and the update ``p -= lr * v`` run over blocks
-    of rows, so no temporary is the size of a parameter; each element is
-    updated exactly as by the whole-array expression.
+    has changed. Both the check and the update ``v <- mu*v + g; p -= lr
+    * v`` (``p -= lr * g`` without momentum) run over the row blocks of
+    :func:`_grad_blocks`, so no temporary is the size of a parameter and
+    a fully connected weight gradient is never formed whole; each
+    element is updated exactly as by the whole-array expressions.
     """
     for name, p in params.items():
-        g = p.grad
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
-            raise ShapeError(f"sgd_step: gradient shape {g.shape} != parameter "
-                             f"shape {p.data.shape} for '{name}'")
-        if not all(np.isfinite(b).all() for b in _row_blocks(g)):
+        if p._grad is not None and p._grad.shape != p.data.shape:
+            raise ShapeError(f"sgd_step: gradient shape {p._grad.shape} != "
+                             f"parameter shape {p.data.shape} for '{name}'")
+        if not all(np.isfinite(gb).all() for gb in _grad_blocks(p)):
             raise FloatingPointError(f"sgd_step: non-finite gradient for "
                                      f"parameter '{name}'")
+    lr, mu = state.learning_rate, state.momentum
     for name, p in params.items():
-        g = p.grad
-        if state.momentum > 0.0:
-            v = state.velocities.get(name)
-            if v is None:
-                v = np.zeros_like(p.data)
-                state.velocities[name] = v
-            v *= state.momentum
-            v += 0.0 if g is None else g
-            g = v
-        elif g is None:
-            continue  # p - lr * 0 is p, bit for bit
-        for pb, gb in zip(_row_blocks(p.data), _row_blocks(g)):
-            pb -= state.learning_rate * gb
+        blocks = zip(_row_blocks(p.data), _grad_blocks(p))
+        if mu == 0.0:
+            for pb, gb in blocks:
+                pb -= lr * gb
+            continue
+        v = state.velocities.get(name)
+        if v is None:
+            v = state.velocities[name] = np.zeros_like(p.data)
+        for (pb, gb), vb in zip(blocks, _row_blocks(v)):
+            vb *= mu
+            vb += gb
+            pb -= lr * vb
+
+
+def _row_slices(a: np.ndarray) -> list[slice]:
+    """``a``'s rows in blocks of at most ``_STEP_BLOCK`` elements (one
+    row where a row is larger)."""
+    rows = max(1, _STEP_BLOCK * len(a) // max(a.size, 1))
+    return [slice(i, i + rows) for i in range(0, len(a), rows)]
 
 
 def _row_blocks(a: np.ndarray):
-    rows = max(1, _STEP_BLOCK * len(a) // max(a.size, 1))
-    return (a[i:i + rows] for i in range(0, len(a), rows))
+    return (a[rows] for rows in _row_slices(a))
+
+
+def _grad_blocks(t: Tensor):
+    """``t``'s gradient, one block of :func:`_row_slices` at a time.
+
+    A held gradient yields its own blocks, and no gradient yields
+    ``0.0`` per block. Rows recorded by :func:`_accum_outer` are stacked
+    into ``X`` and ``G``; their block is ``X[:, rows].T @ G``, formed
+    anew on each pass, plus the held gradient's block. The blocks are
+    the one definition of such a gradient: ``Tensor.grad`` joins them,
+    and :func:`sgd_step` checks and steps along them.
+    """
+    if not t._pending:
+        yield from (_row_blocks(t._grad) if t._grad is not None
+                    else (0.0 for _ in _row_slices(t.data)))
+        return
+    x = np.concatenate([x for x, _ in t._pending])
+    g = np.concatenate([g for _, g in t._pending])
+    for rows in _row_slices(t.data):
+        b = x[:, rows].T @ g
+        if t._grad is not None:
+            b += t._grad[rows]
+        yield b
 
 
 def finite_diff_check(fn: Callable[[], Tensor], wrt: Tensor,

@@ -22,7 +22,9 @@ Pretraining and every phase run through one function
 (:func:`_run_phase`): the phase name decides which branches it trains
 and which it freezes, its batch size, its epoch count and its per-image
 loss. Each starts a fresh momentum buffer, so no optimizer state
-outlives a phase or goes into a checkpoint.
+outlives a phase or goes into a checkpoint, and no gradient outlives
+its step. No copy of the parameters is kept: a divergence leaves them
+at the last completed step (see :class:`DivergenceError`).
 
 Step sizes: every phase steps with the same schedule. The attention
 branch emits maps of unit root mean square (see :class:`VaNet`), so the
@@ -87,7 +89,9 @@ TRAIN_DTYPE = np.float32
 
 
 class DivergenceError(RuntimeError):
-    """Loss went non-finite; the networks hold the last good state."""
+    """A loss or gradient went non-finite. The parameters hold the last
+    completed step; batchnorm statistics may include the failed batch's
+    forward passes. :func:`train` writes no checkpoint after it."""
 
 
 @dataclass
@@ -154,16 +158,6 @@ def _prepare_images(samples: list[WeakSample], resolution: int) -> np.ndarray:
     return out
 
 
-def _snapshot(nets) -> dict[str, np.ndarray]:
-    return {k: a.copy() for net in nets for k, a in net.state().items()}
-
-
-def _restore(nets, snap: dict[str, np.ndarray]) -> None:
-    for net in nets:
-        for k, a in net.state().items():
-            a[...] = snap[k]
-
-
 @dataclass
 class StageData:
     """The training and validation images, as float32 stacks at the
@@ -216,13 +210,14 @@ def _run_phase(config: RunConfig, data: StageData, log: TrainLog,
     PRETRAIN, else the cross entropy of the image score.
 
     Per batch, the per-image graphs are backpropagated one at a time
-    with ``seed=1/len(batch)`` and the trained parameters take one
-    momentum step. The learning rate follows :func:`lr_at_epoch` on
-    ``epoch - lr_origin``. A non-finite loss or gradient restores the
-    trained branches to the start of the epoch and raises
-    :class:`DivergenceError`. Each epoch logs its mean loss and the
-    model's validation accuracy. Returns the next global epoch index
-    and the phase-mean loss.
+    with ``seed=1/len(batch)``, the trained parameters take one
+    momentum step, and their gradients are dropped, so none outlives
+    its step. The learning rate follows :func:`lr_at_epoch` on
+    ``epoch - lr_origin``. A non-finite loss or gradient raises
+    :class:`DivergenceError` before the step it would have fed, so the
+    parameters hold the last completed step. Each epoch logs its mean
+    loss and the model's validation accuracy. Returns the next global
+    epoch index and the phase-mean loss.
     """
     trained = {"PRETRAIN": [cn], "CN": [cn], "VA": [va], "JOINT": [cn, va]}[phase]
     batch_size = (config.cn_batch_size if phase in ("PRETRAIN", "CN")
@@ -255,27 +250,24 @@ def _run_phase(config: RunConfig, data: StageData, log: TrainLog,
         t0 = time.perf_counter()
         opt.learning_rate = lr_at_epoch(config.learning_rate, epoch - lr_origin,
                                         config.lr_decay_epochs)
-        good = _snapshot(trained)
         order = _epoch_order(config.seed, epoch, len(images))
         batch_losses = []
         try:
             for batch in _batches(order, batch_size):
-                for p in params.values():
-                    p.grad = None
                 batch_loss = 0.0
                 for idx in batch:
                     loss = image_loss(idx)
                     loss.backward(seed=1.0 / len(batch))
                     batch_loss += loss.item() / len(batch)
                 sgd_step(params, opt)
+                for p in params.values():
+                    p.grad = None
                 batch_losses.append(batch_loss)
         except FloatingPointError as exc:
-            _restore(trained, good)
             raise DivergenceError(
                 f"{what} diverged at epoch {epoch}: {exc}") from exc
         mean_loss = float(np.mean(batch_losses))
         if not np.isfinite(mean_loss):
-            _restore(trained, good)
             raise DivergenceError(f"{what} diverged at epoch {epoch}")
         val_acc = 0.0
         if data.val_labels:

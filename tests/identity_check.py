@@ -9,7 +9,10 @@ ablation at each (``max_phases``, ``convergence_tol``) schedule, with
 both sides training on the parent's dataset (one path, so the configs
 embedded in the checkpoints agree), ``eval`` and ``infer`` on each
 ``final.ckpt``, and a resume of the change from every checkpoint the
-parent wrote.
+parent wrote. At 16 px every parameter fits in one of ``sgd_step``'s
+row blocks, so one more ``train`` runs at the default size (64 px,
+the default dataset, one pretraining and one epoch in each of two
+phases) on both sides, and its four checkpoints are compared too.
 
 One line per output says ``identical`` or ``differs``. A checkpoint is
 reported as two outputs, its records (everything but the config text)
@@ -59,6 +62,13 @@ max_phases = {max_phases}
 convergence_tol = {tol}
 n_per_class = 4
 seed = 2
+"""
+DEFAULT_SIZE_CFG = """\
+dataset_root = {root}
+pretrain_epochs = 1
+phase_epochs = 1
+max_phases = 2
+seed = 5
 """
 ABLATIONS = ("none", "no-attention", "no-prior", "no-alternation")
 SCHEDULES = ((2, "0.01"), (3, "0"), (5, "inf"))
@@ -187,6 +197,26 @@ class Report:
         self.line(a.read_bytes() == b.read_bytes(), label)
 
 
+def default_size(sides: dict[str, Path], work: Path, report: Report) -> None:
+    """Train both sides at the default size on the parent's dataset and
+    compare the checkpoints they write."""
+    cfg = work / "default.cfg"
+    work.mkdir()
+    cfg.write_text(DEFAULT_SIZE_CFG.format(root=work / "data"))
+    run(sides["parent"], "synth", "--config", cfg, "--out", work / "data")
+    rss = {side: run(src, "train", "--config", cfg, "--out", work / side)[0]
+           for side, src in sides.items()}
+    print(f"{'rss':<9}  default-size train peak RSS: parent "
+          f"{rss['parent']:.1f} MB, change {rss['change']:.1f} MB")
+    ckpts = sorted(p.name for p in (work / "parent").glob("*.ckpt"))
+    report.line(ckpts == sorted(p.name for p in (work / "change").glob("*.ckpt")),
+                f"default-size checkpoint set {' '.join(ckpts)}")
+    for ckpt in ckpts:
+        if (work / "change" / ckpt).exists():
+            report.checkpoint(work / "parent" / ckpt, work / "change" / ckpt,
+                              f"default-size/{ckpt}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_src", type=Path)
@@ -264,6 +294,7 @@ def main() -> int:
                     report.checkpoint(parent / "final.ckpt", out / "final.ckpt",
                                       f"{name}: change resumed from parent "
                                       f"{ckpt} -> final.ckpt")
+        default_size(sides, work / "default-size", report)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"{report.differs} output(s) differ")

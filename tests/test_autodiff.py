@@ -224,6 +224,84 @@ class TestSgdStep:
         if momentum > 0.0:
             assert state.velocities["w"].tobytes() == v.tobytes()
 
+    @staticmethod
+    def _record_rows(w, x, g):
+        """Record the rows of ``x`` and ``g`` on ``w`` one per-image
+        backward pass at a time, as a training batch does."""
+        b = Tensor(np.zeros(w.shape[1], w.dtype))
+        for xi, gi in zip(x, g):
+            fully_connected(Tensor(xi), w, b)._backward_fn(gi)
+
+    # the model's fc1 and fc2 weights, in 32 and 4 row blocks
+    @pytest.mark.parametrize("shape", [(4096, 512), (512, 512)])
+    @pytest.mark.parametrize("rows", range(1, 7))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_step_over_pending_rows_is_byte_identical_to_the_whole_product(
+            self, shape, rows, dtype, momentum):
+        rng = np.random.default_rng(rows)
+        data = rng.standard_normal(shape).astype(dtype)
+        w = Tensor(data.copy(), requires_grad=True)
+        state = OptimizerState(learning_rate=0.01, momentum=momentum)
+        p, v = data.copy(), np.zeros_like(data)
+        for _ in range(2):
+            x = rng.standard_normal((rows, shape[0])).astype(dtype)
+            g = rng.standard_normal((rows, shape[1])).astype(dtype)
+            self._record_rows(w, x, g)
+            sgd_step({"w": w}, state)
+            w.grad = None
+            if momentum > 0.0:
+                v *= momentum
+                v += x.T @ g
+                p -= 0.01 * v
+            else:
+                p -= 0.01 * (x.T @ g)
+        assert w.data.tobytes() == p.tobytes()
+        if momentum > 0.0:
+            assert state.velocities["w"].tobytes() == v.tobytes()
+
+    def test_step_over_pending_rows_forms_no_parameter_sized_gradient(self):
+        # fc1's shape: X.T @ G alone would allocate 8 MB
+        rng = np.random.default_rng(7)
+        w = Tensor(rng.standard_normal((4096, 512)).astype(np.float32),
+                   requires_grad=True)
+        state = OptimizerState(learning_rate=0.01, momentum=0.9)
+        for _ in range(2):  # the first, warm-up step creates the velocity
+            x = rng.standard_normal((6, 4096)).astype(np.float32)
+            g = rng.standard_normal((6, 512)).astype(np.float32)
+            self._record_rows(w, x, g)
+            tracemalloc.start()
+            try:
+                sgd_step({"w": w}, state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            w.grad = None
+        assert peak < 2**20
+
+    def test_overflowing_product_of_finite_rows_raises_before_any_change(self):
+        rng = np.random.default_rng(8)
+        a = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3)).astype(np.float32),
+                   requires_grad=True)
+        params = {"a": a, "w": w}
+        state = OptimizerState(learning_rate=0.1, momentum=0.9)
+        a.grad = np.ones(3, np.float32)
+        self._record_rows(w, np.ones((2, 4), np.float32),
+                          np.ones((2, 3), np.float32))
+        sgd_step(params, state)  # a finite step, so both velocities exist
+        a.grad = np.ones(3, np.float32)
+        w.grad = None
+        big = np.float32(1e20)  # 1e40 overflows float32
+        self._record_rows(w, np.full((2, 4), big), np.full((2, 3), big))
+        before = [arr.tobytes() for arr in (a.data, w.data,
+                                            *state.velocities.values())]
+        with np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError, match="'w'"):
+            sgd_step(params, state)
+        assert [arr.tobytes() for arr in (a.data, w.data,
+                                          *state.velocities.values())] == before
+
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
             OptimizerState(learning_rate=-1.0)

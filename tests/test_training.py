@@ -155,24 +155,33 @@ class TestPretrain:
             _train(cfg, cn, va, weak["train"], tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
-    def test_divergence_restores_last_good_state(self, tmp_path, monkeypatch):
+    def test_divergence_leaves_the_last_completed_step(self, tmp_path,
+                                                       monkeypatch):
         # bounded losses make organic NaN nearly impossible here, so
-        # inject a non-finite loss and verify the abort/restore contract
+        # inject a non-finite loss mid-batch in the second epoch's third
+        # batch, and check that the parameters are those the last
+        # completed step left
         cfg = _tiny_run_config(pretrain_epochs=5)
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
 
         import chroma.training as training_mod
-        real_loss = training_mod.masked_nll_loss
+        real_loss, real_step = training_mod.masked_nll_loss, training_mod.sgd_step
         calls = {"n": 0}
+        stepped = []
 
         def poisoned(y, mask, label):
             calls["n"] += 1
-            if calls["n"] == len(weak["train"]) + 2:  # second epoch
+            if calls["n"] == len(weak["train"]) + 2 * cfg.cn_batch_size + 2:
                 return Tensor(np.asarray(np.nan, dtype=np.float32))
             return real_loss(y, mask, label)
 
+        def recording(params, opt):
+            real_step(params, opt)
+            stepped.append({k: p.data.tobytes() for k, p in params.items()})
+
         monkeypatch.setattr(training_mod, "masked_nll_loss", poisoned)
+        monkeypatch.setattr(training_mod, "sgd_step", recording)
         with pytest.raises(DivergenceError, match="pretraining diverged at "
                                                   "epoch 1"):
             _train(cfg, cn, va, weak["train"], tmp_path)
@@ -181,8 +190,12 @@ class TestPretrain:
         assert "epoch.0.phase = PRETRAIN" in kv and "epoch.1." not in kv
         assert len((tmp_path / "trainlog.txt").read_text().splitlines()) == 2
         assert not list(tmp_path.glob("*.ckpt"))
-        for p in cn.parameters().values():
-            assert np.isfinite(p.data).all()
+        steps_per_epoch = -(-len(weak["train"]) // cfg.cn_batch_size)
+        assert len(stepped) == steps_per_epoch + 2
+        # not the state at the epoch's start: the epoch's two steps stay
+        assert stepped[-1] != stepped[steps_per_epoch - 1]
+        assert {f"cn.{k}": p.data.tobytes()
+                for k, p in cn.parameters().items()} == stepped[-1]
 
 
 class TestAlternatingTrain:
@@ -293,6 +306,21 @@ class TestAlternatingTrain:
         assert [r.epoch for r in log.records] == list(range(
             cfg.pretrain_epochs if phase == "PRETRAIN" else cfg.phase_epochs))
         assert log.records[-1].val_image_accuracy == uncached
+
+    @pytest.mark.parametrize("phase, ablation", [
+        ("PRETRAIN", "none"), ("VA", "none"), ("CN", "none"),
+        ("JOINT", "no-alternation")])
+    def test_no_gradient_outlives_the_phase(self, phase, ablation):
+        from chroma.training import TrainLog, _run_phase
+        cfg = _tiny_run_config(ablation=ablation)
+        weak, _ = _tiny_dataset(cfg)
+        cn, va = build_networks(cfg, len(cfg.vocab()))
+        data = StageData.prepare(cfg, weak["train"], weak["val"])
+        _run_phase(cfg, data, TrainLog(), phase, cn,
+                   None if phase == "PRETRAIN" else va, 0, 0)
+        for net in (cn, va):
+            for name, p in net.parameters().items():
+                assert p._grad is None and p._pending is None, name
 
     def test_no_attention_ablation_runs_cn_only(self, tmp_path):
         cfg = _tiny_run_config(ablation="no-attention", max_phases=2,
