@@ -75,7 +75,7 @@ def _write_records(f, records: dict[str, np.ndarray]) -> None:
         _write_u32(f, arr.ndim)
         for d in arr.shape:
             _write_u32(f, d)
-        f.write(arr.tobytes())
+        f.write(arr)  # from the array's own buffer: no copy of the record
 
 
 class _Cursor:

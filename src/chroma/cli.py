@@ -23,11 +23,13 @@ import numpy as np
 
 from chroma.config import ConfigError, RunConfig, format_kv
 from chroma.data import (
+    SPLITS,
     load_eval_dataset,
     load_weak_dataset,
-    per_class_counts,
+    read_image,
     resize_bilinear,
-    synth_generate,
+    split_files,
+    synth_samples,
     write_dataset,
 )
 from chroma.gradcheck import run_suite
@@ -94,16 +96,15 @@ def _load_config(args) -> RunConfig:
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    weak, test = synth_generate(cfg)
+    samples = synth_samples(cfg)  # checks the generator settings first
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_dataset(out, weak, test, cfg)
+    # each sample is written as it is drawn: one image is held at a time
+    counts = write_dataset(out, samples, cfg)
     print(f"wrote synthetic dataset to {out}")
-    for split, samples in (("train", weak["train"]), ("val", weak["val"]),
-                           ("test", test)):
-        counts = per_class_counts(samples, cfg.vocab())
-        print(f"  {split}: {len(samples)} images "
-              f"({', '.join(f'{k}={v}' for k, v in counts.items())})")
+    for split, per_class in counts.items():
+        print(f"  {split}: {sum(per_class.values())} images "
+              f"({', '.join(f'{k}={v}' for k, v in per_class.items())})")
     return EXIT_OK
 
 
@@ -113,8 +114,8 @@ def cmd_train(args) -> int:
         raise ConfigError("config must set dataset_root")
     vocab = cfg.vocab()
     root = Path(cfg.dataset_root)
-    splits = load_weak_dataset(root, vocab)
-    if not splits["train"]:
+    files = {split: split_files(root, split, vocab) for split in SPLITS}
+    if not files["train"]:
         raise ConfigError(f"no training images under {root}")
     out = Path(cfg.out_dir)
 
@@ -137,9 +138,11 @@ def cmd_train(args) -> int:
     else:
         cn, va = build_networks(cfg, len(vocab))
 
-    # training reads only the float32 stacks: drop the float64 samples
-    data = StageData.prepare(cfg, splits["train"], splits["val"])
-    del splits
+    # each training and validation image is decoded straight into its
+    # row of a float32 stack; a test image is only checked
+    data = StageData.prepare(cfg, files["train"], files["val"])
+    for path, _ in files["test"]:
+        read_image(path)
     log = train(cn, va, data, cfg, out, counters)
     print(f"training complete: {len(log.records)} epochs, checkpoints in {out}")
     if log.records:

@@ -11,12 +11,16 @@ image is a cluttered background plus one principal object painted in a
 jittered class anchor color at a center-biased position, with the exact
 object mask recorded as ground truth. Generation is fully deterministic
 given the seed (one PCG64 stream consumed in a fixed order), and images
-are quantized to the 8-bit grid at creation time so that the in-memory
-dataset equals its exported-then-reloaded copy bit for bit.
+are quantized to the 8-bit grid at creation time so that a generated
+sample equals its exported-then-reloaded copy bit for bit. The samples
+are drawn one at a time (:func:`synth_samples`): ``chroma synth``
+writes each as soon as it is drawn, and :func:`synth_generate` collects
+them in lists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,13 +33,15 @@ from chroma.vocab import ColorVocabulary
 __all__ = [
     "WeakSample",
     "EvalSample",
+    "split_files",
+    "read_image",
     "load_weak_dataset",
     "load_eval_dataset",
     "generator_plan",
+    "synth_samples",
     "synth_generate",
     "write_dataset",
     "resize_bilinear",
-    "per_class_counts",
 ]
 
 SPLITS = ("train", "val", "test")
@@ -55,8 +61,8 @@ _MUTED_GRID = _GRID[_GRID.max(axis=1) - _GRID.min(axis=1) < 0.2]
 # upper bounds on the generator keys that size its work and memory
 GENERATOR_LIMITS = {"n_per_class": 1000, "image_size": 512,
                     "clutter_patches": 100, "distractors": 10}
-# and on their product: the dataset is generated in memory as float64,
-# about 1.75 x classes x n_per_class x image_size**2 x 24 bytes
+# and on their product: the dataset as float64 samples (synth_generate's
+# lists), about 1.75 x classes x n_per_class x image_size**2 x 24 bytes
 GENERATOR_MAX_BYTES = 4 * 2**30
 # distractors are kept smaller than principals so the bootstrap saliency
 # mask is dominated by correctly labeled pixels
@@ -87,13 +93,31 @@ class EvalSample(WeakSample):
 # loading
 
 
-def _class_dirs(split_dir: Path, vocab: ColorVocabulary) -> list[tuple[str, Path]]:
-    dirs = sorted(p for p in split_dir.iterdir() if p.is_dir())
-    for p in dirs:
-        if p.name not in vocab.names:
-            raise ConfigError(f"unknown class folder {p} (vocabulary: "
-                              f"{list(vocab.names)})")
-    return [(p.name, p) for p in dirs]
+def split_files(root, split: str, vocabulary: ColorVocabulary
+                ) -> list[tuple[Path, int]]:
+    """The (image path, label) pairs of one split under ``root``, in
+    loading order; a missing split directory yields none. Raises
+    :class:`ConfigError` on a class folder outside the vocabulary."""
+    split_dir = Path(root) / split
+    if not split_dir.is_dir():
+        return []
+    files = []
+    for class_dir in sorted(p for p in split_dir.iterdir() if p.is_dir()):
+        if class_dir.name not in vocabulary.names:
+            raise ConfigError(f"unknown class folder {class_dir} (vocabulary: "
+                              f"{list(vocabulary.names)})")
+        label = vocabulary.index(class_dir.name)
+        files += [(ppm, label) for ppm in sorted(class_dir.glob("*.ppm"))]
+    return files
+
+
+def read_image(path) -> np.ndarray:
+    """A dataset image as ``read_ppm`` decodes it; ``ValueError`` naming
+    the file when it cannot be read."""
+    try:
+        return read_ppm(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read image {path}: {exc}") from exc
 
 
 def load_weak_dataset(root, vocabulary: ColorVocabulary) -> dict[str, list[WeakSample]]:
@@ -102,53 +126,29 @@ def load_weak_dataset(root, vocabulary: ColorVocabulary) -> dict[str, list[WeakS
     Missing split directories yield empty lists. Raises on class folders
     outside the vocabulary and on unreadable images.
     """
-    root = Path(root)
-    splits: dict[str, list[WeakSample]] = {}
-    for split in SPLITS:
-        samples: list[WeakSample] = []
-        split_dir = root / split
-        if split_dir.is_dir():
-            for name, class_dir in _class_dirs(split_dir, vocabulary):
-                label = vocabulary.index(name)
-                for ppm in sorted(class_dir.glob("*.ppm")):
-                    try:
-                        image = read_ppm(ppm)
-                    except (OSError, ValueError) as exc:
-                        raise ValueError(f"cannot read image {ppm}: {exc}") from exc
-                    samples.append(WeakSample(image=image, label=label,
-                                              id=ppm.stem))
-        splits[split] = samples
-    return splits
+    return {split: [WeakSample(image=read_image(path), label=label,
+                               id=path.stem)
+                    for path, label in split_files(root, split, vocabulary)]
+            for split in SPLITS}
 
 
 def load_eval_dataset(root, vocabulary: ColorVocabulary) -> list[EvalSample]:
     """Load the masked ``test`` split; every image needs ``<id>.mask.pgm``."""
-    root = Path(root)
-    split_dir = root / "test"
-    if not split_dir.is_dir():
+    if not (Path(root) / "test").is_dir():
         raise FileNotFoundError(f"no 'test' split under {root}")
     samples: list[EvalSample] = []
-    for name, class_dir in _class_dirs(split_dir, vocabulary):
-        label = vocabulary.index(name)
-        for ppm in sorted(class_dir.glob("*.ppm")):
-            mask_path = class_dir / f"{ppm.stem}.mask.pgm"
-            if not mask_path.exists():
-                raise FileNotFoundError(f"missing mask {mask_path} for {ppm}")
-            image = read_ppm(ppm)
-            mask = (read_pgm(mask_path) > 0).astype(np.uint8)
-            if mask.shape != image.shape[:2]:
-                raise ValueError(f"{mask_path}: mask size {mask.shape} does not "
-                                 f"match image {image.shape[:2]}")
-            samples.append(EvalSample(image=image, label=label, id=ppm.stem,
-                                      mask=mask))
+    for ppm, label in split_files(root, "test", vocabulary):
+        mask_path = ppm.with_name(f"{ppm.stem}.mask.pgm")
+        if not mask_path.exists():
+            raise FileNotFoundError(f"missing mask {mask_path} for {ppm}")
+        image = read_ppm(ppm)
+        mask = (read_pgm(mask_path) > 0).astype(np.uint8)
+        if mask.shape != image.shape[:2]:
+            raise ValueError(f"{mask_path}: mask size {mask.shape} does not "
+                             f"match image {image.shape[:2]}")
+        samples.append(EvalSample(image=image, label=label, id=ppm.stem,
+                                  mask=mask))
     return samples
-
-
-def per_class_counts(samples: list[WeakSample], vocab: ColorVocabulary) -> dict[str, int]:
-    counts = {name: 0 for name in vocab.names}
-    for s in samples:
-        counts[vocab.names[s.label]] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +196,8 @@ def generator_plan(cfg: RunConfig) -> tuple[tuple[str, ...], np.ndarray,
             raise ConfigError(f"{name} must be at most {limit}")
     size = 1.75 * len(cfg.vocab()) * cfg.n_per_class * cfg.image_size ** 2 * 24
     if size > GENERATOR_MAX_BYTES:
-        raise ConfigError(f"the generated dataset would take about "
-                          f"{size / 2**30:.2f} GiB, above the "
+        raise ConfigError(f"the generated dataset, as float64 samples, "
+                          f"would be about {size / 2**30:.2f} GiB, above the "
                           f"{GENERATOR_MAX_BYTES / 2**30:g} GiB bound")
     if cfg.image_size < 8:
         raise ConfigError("image_size must be at least 8")
@@ -296,50 +296,65 @@ def _render_sample(rng: np.random.Generator, cfg: RunConfig, plan,
     return image, mask
 
 
-def synth_generate(cfg: RunConfig
-                   ) -> tuple[dict[str, list[WeakSample]], list[EvalSample]]:
-    """Generate weak train/val splits and a masked test split.
+def synth_samples(cfg: RunConfig) -> Iterator[tuple[str, WeakSample]]:
+    """Draw the generated samples one at a time, as (split, sample)
+    pairs: per class, in vocabulary order, its train, val and test
+    images. A test sample is an :class:`EvalSample` with its mask.
 
     Split sizes follow the 40/10/20 per-class pattern: ``n_per_class``
     training images, a quarter of that for validation and half for test
     (at least one each). ``distractors`` adds off-center objects in
     wrong-class colors (never in the mask), which penalizes attention
-    that drifts away from the center.
+    that drifts away from the center. The generator settings are
+    checked (:func:`generator_plan`) before this returns.
     """
     plan = generator_plan(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    n_val = max(1, cfg.n_per_class // 4)
-    n_test = max(1, cfg.n_per_class // 2)
+    counts = (("train", cfg.n_per_class), ("val", max(1, cfg.n_per_class // 4)),
+              ("test", max(1, cfg.n_per_class // 2)))
 
+    def draw():
+        rng = np.random.default_rng(cfg.seed)
+        for label in range(len(cfg.vocab())):
+            for split, count in counts:
+                for idx in range(count):
+                    image, mask = _render_sample(rng, cfg, plan, label)
+                    sample = (EvalSample(image=image, label=label,
+                                         id=f"{idx:03d}", mask=mask)
+                              if split == "test" else
+                              WeakSample(image=image, label=label,
+                                         id=f"{idx:03d}"))
+                    yield split, sample
+
+    return draw()
+
+
+def synth_generate(cfg: RunConfig
+                   ) -> tuple[dict[str, list[WeakSample]], list[EvalSample]]:
+    """Generate weak train/val splits and a masked test split: the
+    samples of :func:`synth_samples`, collected per split."""
     weak: dict[str, list[WeakSample]] = {"train": [], "val": []}
     test: list[EvalSample] = []
-    for label, name in enumerate(cfg.vocab().names):
-        for split, count in (("train", cfg.n_per_class), ("val", n_val),
-                             ("test", n_test)):
-            for idx in range(count):
-                image, mask = _render_sample(rng, cfg, plan, label)
-                sample_id = f"{idx:03d}"
-                if split == "test":
-                    test.append(EvalSample(image=image, label=label,
-                                           id=sample_id, mask=mask))
-                else:
-                    weak[split].append(WeakSample(image=image, label=label,
-                                                  id=sample_id))
+    for split, sample in synth_samples(cfg):
+        (test if split == "test" else weak[split]).append(sample)
     return weak, test
 
 
-def write_dataset(root, weak: dict[str, list[WeakSample]],
-                  test: list[EvalSample], cfg: RunConfig) -> None:
-    """Export generated splits in the on-disk layout, plus a manifest."""
+def write_dataset(root, samples: Iterable[tuple[str, WeakSample]],
+                  cfg: RunConfig) -> dict[str, dict[str, int]]:
+    """Export (split, sample) pairs in the on-disk layout, each as it
+    comes, then a manifest. Returns the images written per split and
+    class (every split and class, zeros included)."""
     root = Path(root)
     vocab = cfg.vocab()
-    for split, samples in list(weak.items()) + [("test", test)]:
-        for s in samples:
-            class_dir = root / split / vocab.names[s.label]
-            class_dir.mkdir(parents=True, exist_ok=True)
-            write_ppm(class_dir / f"{s.id}.ppm", s.image)
-            if isinstance(s, EvalSample):
-                write_pgm(class_dir / f"{s.id}.mask.pgm", s.mask * 255)
+    counts = {split: dict.fromkeys(vocab.names, 0) for split in SPLITS}
+    for split, s in samples:
+        name = vocab.names[s.label]
+        class_dir = root / split / name
+        class_dir.mkdir(parents=True, exist_ok=True)
+        write_ppm(class_dir / f"{s.id}.ppm", s.image)
+        if isinstance(s, EvalSample):
+            write_pgm(class_dir / f"{s.id}.mask.pgm", s.mask * 255)
+        counts[split][name] += 1
     lines = [
         f"seed = {cfg.seed}",
         f"image_size = {cfg.image_size}",
@@ -352,10 +367,11 @@ def write_dataset(root, weak: dict[str, list[WeakSample]],
         f"clutter_patches = {cfg.clutter_patches}",
         f"distractors = {cfg.distractors}",
     ]
-    for split, samples in list(weak.items()) + [("test", test)]:
-        for name, count in per_class_counts(samples, vocab).items():
+    for split, per_class in counts.items():
+        for name, count in per_class.items():
             lines.append(f"count.{split}.{name} = {count}")
     (root / "manifest.txt").write_text("\n".join(lines) + "\n")
+    return counts
 
 
 # ---------------------------------------------------------------------------

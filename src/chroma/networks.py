@@ -88,10 +88,22 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+# the most uniform draws _xavier holds at once
+_DRAW_BLOCK = 65536
+
+
 def _xavier(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
             dtype) -> np.ndarray:
+    """Xavier-uniform draws of ``dtype``, equal to (and leaving ``rng`` as)
+    ``rng.uniform(-limit, limit, shape).astype(dtype)``, made in blocks:
+    no float64 array of the parameter's size exists."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        block = flat[start:start + _DRAW_BLOCK]
+        block[...] = rng.uniform(-limit, limit, size=block.size)
+    return out
 
 
 class _ParamStore:

@@ -2,7 +2,8 @@
 
 Training runs in two stages, both in :func:`train`, the one entry point.
 It reads the images only as the float32 stacks of a :class:`StageData`,
-so a caller that drops its samples once staged holds each image once.
+which can read each image file only as it fills the image's row, so a
+caller that stages from files holds no dataset beside the stacks.
 First the color-naming branch is pretrained alone on saliency-masked
 negative log-likelihood (the only place that loss is used). Then the
 branches are trained alternately on the image-level cross entropy of
@@ -62,7 +63,7 @@ import numpy as np
 
 from chroma.checkpoint import read_checkpoint, write_checkpoint
 from chroma.config import ConfigError, RunConfig
-from chroma.data import EvalSample, WeakSample, resize_bilinear
+from chroma.data import EvalSample, WeakSample, read_image, resize_bilinear
 from chroma.modulation import ImageScore
 from chroma.networks import CnNet, VaNet, image_score, masked_nll_loss
 from chroma.saliency import binarize, compute_saliency
@@ -147,11 +148,14 @@ def _batches(order: np.ndarray, size: int):
         yield order[start:start + size]
 
 
-def _prepare_images(samples: list[WeakSample], resolution: int) -> np.ndarray:
-    """The images at the training resolution, as one [N,H,W,3] stack."""
-    out = np.empty((len(samples), resolution, resolution, 3), TRAIN_DTYPE)
-    for row, s in zip(out, samples):
-        img = s.image
+def _prepare_images(images: list, resolution: int) -> np.ndarray:
+    """The images at the training resolution, as one [N,H,W,3] stack.
+    An image is an [H,W,3] float array in [0, 1] or the path of a PPM
+    file, which is read only when its row is filled."""
+    out = np.empty((len(images), resolution, resolution, 3), TRAIN_DTYPE)
+    for row, img in zip(out, images):
+        if not isinstance(img, np.ndarray):
+            img = read_image(img)
         if img.shape[:2] != (resolution, resolution):
             img = np.clip(resize_bilinear(img, resolution, resolution), 0.0, 1.0)
         row[...] = img
@@ -169,18 +173,20 @@ class StageData:
     val_labels: list[int]
 
     @classmethod
-    def prepare(cls, config: RunConfig, train_samples: list[WeakSample],
-                val_samples) -> "StageData":
-        n_train = len(train_samples)
+    def prepare(cls, config: RunConfig, train: list[tuple], val: list[tuple]
+                ) -> "StageData":
+        """Stage (image, label) pairs, each image an array or a PPM path
+        (see :func:`_prepare_images`), one image at a time."""
+        n_train = len(train)
         if n_train < 1:
             raise ConfigError("training split is empty")
         if config.cn_batch_size > n_train or config.va_batch_size > n_train:
             raise ConfigError(f"batch size exceeds dataset size {n_train}")
-        return cls(images=_prepare_images(train_samples, config.resolution),
-                   labels=[s.label for s in train_samples],
-                   val_images=_prepare_images(list(val_samples),
-                                              config.resolution),
-                   val_labels=[s.label for s in val_samples])
+        res = config.resolution
+        return cls(images=_prepare_images([img for img, _ in train], res),
+                   labels=[label for _, label in train],
+                   val_images=_prepare_images([img for img, _ in val], res),
+                   val_labels=[label for _, label in val])
 
 
 def _cache_forward(net, images: np.ndarray) -> list:
@@ -267,8 +273,6 @@ def _run_phase(config: RunConfig, data: StageData, log: TrainLog,
             raise DivergenceError(
                 f"{what} diverged at epoch {epoch}: {exc}") from exc
         mean_loss = float(np.mean(batch_losses))
-        if not np.isfinite(mean_loss):
-            raise DivergenceError(f"{what} diverged at epoch {epoch}")
         val_acc = 0.0
         if data.val_labels:
             colors, maps = (frozen[net][1] if net in frozen
@@ -465,7 +469,7 @@ def evaluate_model(cn: CnNet, va: VaNet | None, samples: list[WeakSample],
     if not samples:
         raise ValueError("evaluate_model: empty sample list")
     labels = [s.label for s in samples]
-    images = _prepare_images(samples, resolution)
+    images = _prepare_images([s.image for s in samples], resolution)
     maps = _cache_forward(va, images)
     scores: list[ImageScore] = []
     loc_stats: list[LocalizationStats] = []

@@ -12,7 +12,9 @@ embedded in the checkpoints agree), ``eval`` and ``infer`` on each
 parent wrote. At 16 px every parameter fits in one of ``sgd_step``'s
 row blocks, so one more ``train`` runs at the default size (64 px,
 the default dataset, one pretraining and one epoch in each of two
-phases) on both sides, and its four checkpoints are compared too.
+phases) on both sides, and its four checkpoints are compared too. The
+default dataset is synthesized by both sides and the two trees are
+compared; both sides train on the parent's.
 
 One line per output says ``identical`` or ``differs``. A checkpoint is
 reported as two outputs, its records (everything but the config text)
@@ -24,9 +26,10 @@ without its ``wall_time`` lines. A resumed
 run is compared with the parent's uninterrupted ``final.ckpt``. Exit
 status 0 means every output is identical.
 
-For each ``train`` of both sides, an ``rss`` line reports the peak
-resident set size of the parent's and the change's subprocess side by
-side (from ``os.wait4``), and for each ``infer`` a ``time`` line the
+For each ``train`` of both sides, and for the default-size ``synth``,
+an ``rss`` line reports the peak resident set size of the parent's and
+the change's subprocess side by side (from ``os.wait4``), and for each
+``infer`` a ``time`` line the
 wall time of both subprocesses, start-up included. They are reports
 only: they count toward no verdict and leave the exit status alone.
 """
@@ -196,14 +199,28 @@ class Report:
     def files(self, a: Path, b: Path, label: str) -> None:
         self.line(a.read_bytes() == b.read_bytes(), label)
 
+    def trees(self, a: Path, b: Path, label: str) -> None:
+        """Compare two directory trees file for file."""
+        names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        same = names == sorted(p.relative_to(b) for p in b.rglob("*")
+                               if p.is_file())
+        self.line(same and all((a / n).read_bytes() == (b / n).read_bytes()
+                               for n in names), f"{label} ({len(names)} files)")
+
 
 def default_size(sides: dict[str, Path], work: Path, report: Report) -> None:
-    """Train both sides at the default size on the parent's dataset and
-    compare the checkpoints they write."""
+    """Synthesize the default dataset on both sides and compare the trees,
+    then train both sides at the default size on the parent's dataset
+    and compare the checkpoints they write."""
     cfg = work / "default.cfg"
     work.mkdir()
     cfg.write_text(DEFAULT_SIZE_CFG.format(root=work / "data"))
-    run(sides["parent"], "synth", "--config", cfg, "--out", work / "data")
+    rss = {side: run(src, "synth", "--config", cfg, "--out",
+                     work / "data" if side == "parent" else work / "change-data")[0]
+           for side, src in sides.items()}
+    print(f"{'rss':<9}  default-size synth peak RSS: parent "
+          f"{rss['parent']:.1f} MB, change {rss['change']:.1f} MB")
+    report.trees(work / "data", work / "change-data", "default-size synth dataset")
     rss = {side: run(src, "train", "--config", cfg, "--out", work / side)[0]
            for side, src in sides.items()}
     print(f"{'rss':<9}  default-size train peak RSS: parent "
@@ -240,14 +257,7 @@ def main() -> int:
         run(sides["parent"], "synth", "--config", first_cfg, "--out", data)
         run(sides["change"], "synth", "--config", first_cfg, "--out",
             work / "change-data")
-        names = sorted(p.relative_to(data) for p in data.rglob("*")
-                       if p.is_file())
-        changed = sorted(p.relative_to(work / "change-data")
-                         for p in (work / "change-data").rglob("*")
-                         if p.is_file())
-        report.line(names == changed and all(
-            (data / n).read_bytes() == (work / "change-data" / n).read_bytes()
-            for n in names), f"synth dataset ({len(names)} files)")
+        report.trees(data, work / "change-data", "synth dataset")
         image = sorted(data.glob("test/*/*.ppm"))[0]
 
         for ablation in ABLATIONS:

@@ -115,6 +115,19 @@ class TestCheckpointFormat:
         back = read_checkpoint(path).params["s"]
         assert back.shape == () and back == np.float32(2.5)
 
+    def test_a_float32_record_is_written_without_a_copy(self, tmp_path):
+        import tracemalloc
+        path = tmp_path / "m.ckpt"
+        record = np.arange(2 * 2**20, dtype=np.float32).reshape(2048, 1024)
+        tracemalloc.start()
+        try:
+            write_checkpoint(path, ("a", "b"), "", {"w": record})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.nbytes == 8 * 2**20 and peak < 2**20
+        assert read_checkpoint(path).params["w"].tobytes() == record.tobytes()
+
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
         write_checkpoint(path, ("a", "b"), "old",

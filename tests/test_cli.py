@@ -14,6 +14,7 @@ from chroma.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_IO, EXIT_OK, \
 from chroma.config import RunConfig
 from chroma.data import GENERATOR_LIMITS, GENERATOR_MAX_BYTES
 from chroma.netpbm import read_ppm, write_ppm
+from chroma.vocab import VOCABULARY_PRESETS
 
 
 TINY_CFG = """
@@ -148,6 +149,58 @@ class TestSynthCommand:
         assert peak < 2**26
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("", id="default"),
+        pytest.param("image_size = 16\nn_per_class = 4\ndistractors = 3\n"
+                     "seed = 6\n", id="16px-distractors"),
+        *(pytest.param(f"vocabulary = {name}\nimage_size = 16\n"
+                       "n_per_class = 2\n", id=name)
+          for name in VOCABULARY_PRESETS)])
+    def test_streamed_tree_equals_the_tree_of_the_generated_lists(
+            self, tmp_path, capsys, text):
+        from chroma.data import synth_generate, write_dataset
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        cfg_path = tmp_path / "gen.cfg"
+        cfg_path.write_text(text)
+        streamed = tmp_path / "streamed"
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg_path), "--out",
+                     str(streamed)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        cfg = RunConfig.from_text(text)
+        weak, test = synth_generate(cfg)
+        splits = {"train": weak["train"], "val": weak["val"], "test": test}
+        write_dataset(tmp_path / "lists", [(split, s) for split, samples
+                                           in splits.items() for s in samples],
+                      cfg)
+        assert tree(streamed) == tree(tmp_path / "lists")
+        want = [f"wrote synthetic dataset to {streamed}"]
+        for split, samples in splits.items():
+            counts = ", ".join(f"{name}={[s.label for s in samples].count(i)}"
+                               for i, name in enumerate(cfg.vocab().names))
+            want.append(f"  {split}: {len(samples)} images ({counts})")
+        assert stdout == "\n".join(want) + "\n"
+
+    def test_synth_holds_one_image_at_a_time(self, tmp_path):
+        # ten times the images, at the default 64 px, take no more memory
+        import tracemalloc
+        peaks = {}
+        for n in (4, 40):
+            cfg = tmp_path / f"n{n}.cfg"
+            cfg.write_text(f"n_per_class = {n}\n")
+            tracemalloc.start()
+            try:
+                assert main(["synth", "--config", str(cfg), "--out",
+                             str(tmp_path / f"data{n}")]) == EXIT_OK
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40] - peaks[4] < 2**20, peaks
+
 
 class TestTrainCommand:
     def test_tiny_run_completes_and_writes_artifacts(self, synthed):
@@ -172,17 +225,19 @@ class TestTrainCommand:
     def test_no_dataset_sample_stays_alive_while_training(self, synthed,
                                                           monkeypatch):
         # training reads only the staged float32 stacks, so every phase
-        # runs with as many WeakSample objects alive as before the command
+        # runs with as many WeakSample objects alive as before the command;
+        # the images are read file by file into the stacks, so no
+        # WeakSample is made at all
         import gc
 
         from chroma import training
-        from chroma.data import WeakSample
+        from chroma.data import EvalSample, WeakSample
 
         def live_samples() -> int:
             gc.collect()
             return sum(issubclass(type(o), WeakSample) for o in gc.get_objects())
 
-        counts = []
+        counts, made = [], []
         real_run_phase = training._run_phase
 
         def counting(*args, **kwargs):
@@ -190,6 +245,11 @@ class TestTrainCommand:
             return real_run_phase(*args, **kwargs)
 
         monkeypatch.setattr(training, "_run_phase", counting)
+        for cls in (WeakSample, EvalSample):
+            def init(self, *args, _real=cls.__init__, **kwargs):
+                made.append(type(self).__name__)
+                _real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", init)
         tmp_path, cfg = synthed
         pretrain = tmp_path / "run" / "pretrain.ckpt"
         for argv, n_phases in ((["train", "--config", str(cfg)], 3),
@@ -200,6 +260,18 @@ class TestTrainCommand:
             before = live_samples()
             assert main(argv) == EXIT_OK
             assert counts == [before] * n_phases, argv
+            assert made == [], argv
+
+    def test_unreadable_test_split_image_is_exit_2_naming_it(self, synthed,
+                                                             capsys):
+        # training never reads the test split, but checks it as it loads
+        tmp_path, cfg = synthed
+        bad = sorted((tmp_path / "data" / "test").rglob("*.ppm"))[-1]
+        bad.write_bytes(b"P6\n16 16\n255\n" + bytes(10))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == EXIT_IO
+        assert f"error: cannot read image {bad}: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_resume_rejects_a_seed_or_ablation_the_checkpoint_lacks(
             self, synthed, capsys):

@@ -12,9 +12,9 @@ from chroma.data import (
     generator_plan,
     load_eval_dataset,
     load_weak_dataset,
-    per_class_counts,
     resize_bilinear,
     synth_generate,
+    synth_samples,
     write_dataset,
 )
 from chroma.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
@@ -132,8 +132,8 @@ class TestLoaders:
                 write_ppm(d / f"{i:02d}.ppm", np.zeros((3, 3, 3), dtype=np.uint8))
         splits = load_weak_dataset(tmp_path, vocab)
         assert len(splits["train"]) == 44
-        counts = per_class_counts(splits["train"], vocab)
-        assert all(c == 4 for c in counts.values())
+        labels = [s.label for s in splits["train"]]
+        assert all(labels.count(i) == 4 for i in range(len(vocab)))
 
     def test_unknown_class_folder_rejected(self, tmp_path):
         (tmp_path / "train" / "mauve").mkdir(parents=True)
@@ -261,7 +261,7 @@ class TestSynthGenerate:
     def test_export_round_trips_bit_exactly(self, tmp_path):
         cfg = RunConfig(seed=10, n_per_class=2)
         weak, test = synth_generate(cfg)
-        write_dataset(tmp_path, weak, test, cfg)
+        write_dataset(tmp_path, synth_samples(cfg), cfg)
         assert (tmp_path / "manifest.txt").exists()
         loaded = load_weak_dataset(tmp_path, cfg.vocab())
         for split in ("train", "val"):
@@ -277,8 +277,7 @@ class TestSynthGenerate:
     def test_export_twice_identical_bytes(self, tmp_path):
         cfg = RunConfig(seed=11, n_per_class=1)
         for sub in ("a", "b"):
-            weak, test = synth_generate(cfg)
-            write_dataset(tmp_path / sub, weak, test, cfg)
+            write_dataset(tmp_path / sub, synth_samples(cfg), cfg)
         files_a = sorted((tmp_path / "a").rglob("*.*"))
         files_b = sorted((tmp_path / "b").rglob("*.*"))
         assert [f.name for f in files_a] == [f.name for f in files_b]

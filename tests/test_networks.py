@@ -1,6 +1,8 @@
 """Network assembly contracts: shapes, simplex outputs, loss gating,
 composition, and the end-to-end gradient check on a micro network."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,23 @@ class TestFullForward:
             a = full_forward(cn, va, image)[2].y_hat.data
             b = full_forward(cn, va, image)[2].y_hat.data
         assert a.tobytes() == b.tobytes()
+
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4096, 512), (3, 3, 72, 72), (65537,)])
+def test_xavier_equals_one_uniform_draw_cast_to_its_dtype(shape, dtype):
+    # the blocked draws give the bytes of one full-size float64 draw and
+    # leave the generator where that draw leaves it
+    from chroma.networks import _xavier
+    got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+    got = _xavier(got_rng, shape, 100, 200, dtype)
+    limit = math.sqrt(6.0 / 300)
+    want = want_rng.uniform(-limit, limit, shape).astype(dtype)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got_rng.uniform() == want_rng.uniform()
 
 
 class TestEndToEndGradients:

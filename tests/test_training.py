@@ -50,13 +50,40 @@ def _tiny_dataset(cfg: RunConfig, single_class=False):
     return weak, test
 
 
+def _stage(cfg, train_samples, val_samples) -> StageData:
+    return StageData.prepare(cfg, [(s.image, s.label) for s in train_samples],
+                             [(s.image, s.label) for s in val_samples])
+
+
 def _train(cfg, cn, va, samples, out):
     """Stage ``samples`` and train without a validation split."""
-    return train(cn, va, StageData.prepare(cfg, samples, []), cfg, out)
+    return train(cn, va, _stage(cfg, samples, []), cfg, out)
 
 
 def _counters(path) -> dict:
     return load_model(path)[3]
+
+
+def test_staging_a_ppm_file_equals_staging_its_decoded_image(tmp_path):
+    # a file at the training resolution and a larger one that is resized
+    # are both staged as read_ppm's image (the first holds every 8-bit level)
+    from chroma.netpbm import read_ppm, write_ppm
+    rng = np.random.default_rng(4)
+    images = [(np.arange(16 * 16 * 3) % 256).astype(np.uint8).reshape(16, 16, 3)]
+    images += [rng.integers(0, 256, (size, size, 3), np.uint8)
+               for size in (16, 20, 16, 20)]
+    paths = [tmp_path / f"{i}.ppm" for i in range(len(images))]
+    for path, image in zip(paths, images):
+        write_ppm(path, image)
+    cfg = _tiny_run_config(cn_batch_size=2, va_batch_size=2)
+    from_files = StageData.prepare(cfg, [(p, i) for i, p in enumerate(paths)],
+                                   [(paths[0], 0)])
+    from_images = StageData.prepare(
+        cfg, [(read_ppm(p), i) for i, p in enumerate(paths)],
+        [(read_ppm(paths[0]), 0)])
+    assert from_files.images.tobytes() == from_images.images.tobytes()
+    assert from_files.val_images.tobytes() == from_images.val_images.tobytes()
+    assert from_files.labels == from_images.labels == [0, 1, 2, 3, 4]
 
 
 class TestLrSchedule:
@@ -271,7 +298,7 @@ class TestAlternatingTrain:
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
         model_va = None if phase == "PRETRAIN" else va
-        data = StageData.prepare(cfg, weak["train"], weak["val"])
+        data = _stage(cfg, weak["train"], weak["val"])
         trained = {"PRETRAIN": [cn], "VA": [va], "CN": [cn],
                    "JOINT": [cn, va]}[phase]
         untrained = [net for net in (cn, va)
@@ -315,7 +342,7 @@ class TestAlternatingTrain:
         cfg = _tiny_run_config(ablation=ablation)
         weak, _ = _tiny_dataset(cfg)
         cn, va = build_networks(cfg, len(cfg.vocab()))
-        data = StageData.prepare(cfg, weak["train"], weak["val"])
+        data = _stage(cfg, weak["train"], weak["val"])
         _run_phase(cfg, data, TrainLog(), phase, cn,
                    None if phase == "PRETRAIN" else va, 0, 0)
         for net in (cn, va):
